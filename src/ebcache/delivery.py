@@ -13,9 +13,13 @@ pool.  After each slot the realized receiver set drives the bookkeeping:
   * otherwise the slot was wasted for the users that missed it and a
     fresh combination goes out next.
 
-Decoding replays each user's banked equations through one Gaussian
-elimination over symbol atoms (packets plus promoted combinations); rare
-rank shortfalls from unlucky coefficients are repaired by a feedback
+Decoding eliminates each user's banked equations pool by pool.  A pool
+only ever combines atoms (packets and promoted combinations) seeded into
+it, so the equations fall into one block per pool, eliminated in
+dependency order with solved values folded into later right-hand sides;
+pools closed in a cycle are merged into one block.  Rank-deficient
+blocks and everything downstream of them form one residual system, and
+its rare shortfalls from unlucky coefficients are repaired by a feedback
 cleanup round.
 """
 
@@ -28,10 +32,10 @@ from typing import Iterator
 import numpy as np
 
 from .gf256 import MUL, gf_dot, rref, append_reduced
-from .model import Demand, SystemConfig, mask_of, subsets_ascending, users_of
+from .model import (SUPPORTED_FIELD_ORDERS, Demand, SystemConfig, mask_of,
+                    subsets_ascending, users_of)
 from .placement import PlacementMap
 
-SUPPORTED_FIELD_ORDERS = (2, 256)
 CLEANUP_BUDGET_PER_USER = 64
 
 
@@ -70,7 +74,20 @@ class SimResult:
 class _Pool:
     atoms: list[int] = field(default_factory=list)
     needed: list[int] = field(default_factory=list)      # user bitmask
-    payloads: list[np.ndarray] = field(default_factory=list)
+
+
+@dataclass
+class _Residual:
+    """What block elimination left of one user's system: the reduced
+    matrix over the unknowns no block could solve, its pivots and the atom
+    of each column, beside the packets the blocks did solve."""
+
+    m: np.ndarray
+    pivots: dict[int, int]
+    col_of: dict[int, int]
+    solved: dict[int, np.ndarray]
+    need: list[int]      # demanded packets the user neither cached nor heard
+    merged: int          # blocks that join pools closed in a cycle
 
 
 class _Engine:
@@ -81,8 +98,12 @@ class _Engine:
         if q not in SUPPORTED_FIELD_ORDERS:
             raise DeliveryError(f"field order {q} unsupported "
                                 f"(choose from {SUPPORTED_FIELD_ORDERS})")
-        self.K = K
         self.delta = np.asarray(delta, dtype=float)
+        if self.delta.shape != (K,) or not ((self.delta >= 0.0)
+                                            & (self.delta < 1.0)).all():
+            raise DeliveryError("delta must hold K erasure probabilities "
+                                "in [0, 1)")
+        self.K = K
         self.rng = np.random.default_rng(seed)
         self.q = q
         self.L = payload_len
@@ -93,13 +114,14 @@ class _Engine:
         self.powers = (1 << np.arange(K)).astype(np.int64)
         self.pools: dict[int, _Pool] = {}
         self.npackets = 0
-        self.values: np.ndarray | None = None           # (npackets, L)
+        # value of every atom, packets first, then combinations as sent
+        self.vals = np.empty((0, payload_len), dtype=np.uint8)
         self.pmask: np.ndarray | None = None            # caching bitmask
         self.must_decode: list[np.ndarray] = [np.empty(0, np.int64)] * K
-        # combo registry: atom -> (src pool mask, constituent atoms, coefs, payload)
-        self.combos: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+        # combo registry: atom -> (src pool mask, constituent atoms, coefs)
+        self.combos: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self.next_atom = 0
-        self.stored: list[dict[int, np.ndarray]] = [dict() for _ in range(K)]
+        self.stored: list[list[int]] = [[] for _ in range(K)]   # atoms heard
         self.member_rows: list[list[int]] = [[] for _ in range(K)]
         self.slot = 0
         self.slots_per_subphase: dict[tuple[int, ...], int] = {}
@@ -111,15 +133,33 @@ class _Engine:
     def set_packets(self, npackets: int, pmask: np.ndarray) -> None:
         self.npackets = npackets
         self.next_atom = npackets
-        self.values = self.rng.integers(0, 256, (npackets, self.L), dtype=np.uint8)
+        # room for as many combinations as packets before the table grows
+        self.vals = np.empty((2 * npackets + 16, self.L), dtype=np.uint8)
+        self.vals[:npackets] = self.rng.integers(0, 256, (npackets, self.L),
+                                                 dtype=np.uint8)
         self.pmask = pmask.astype(np.int64)
 
-    def seed_item(self, pool_mask: int, atom: int, needed_mask: int,
-                  payload: np.ndarray) -> None:
+    @property
+    def values(self) -> np.ndarray:
+        """Packet values, (npackets, L)."""
+        return self.vals[:self.npackets]
+
+    def seed_item(self, pool_mask: int, atom: int, needed_mask: int) -> None:
         pool = self.pools.setdefault(pool_mask, _Pool())
         pool.atoms.append(atom)
         pool.needed.append(needed_mask)
-        pool.payloads.append(payload)
+
+    def _new_combo(self, pool_mask: int, atom_ids: np.ndarray,
+                   coefs: np.ndarray, payload: np.ndarray) -> int:
+        atom = self.next_atom
+        self.next_atom += 1
+        if atom == len(self.vals):
+            grown = np.empty((2 * atom, self.L), dtype=np.uint8)
+            grown[:atom] = self.vals
+            self.vals = grown
+        self.vals[atom] = payload
+        self.combos[atom] = (pool_mask, atom_ids, coefs)
+        return atom
 
     # -- channel -----------------------------------------------------------
 
@@ -164,7 +204,7 @@ class _Engine:
     def _run_raw(self, pool_mask: int, pool: _Pool) -> None:
         """Broadcast each raw packet until at least one user receives it."""
         k0 = pool_mask.bit_length() - 1
-        for atom, payload in zip(pool.atoms, pool.payloads):
+        for atom in pool.atoms:
             while True:
                 self.slot += 1
                 S = self._state()
@@ -173,12 +213,12 @@ class _Engine:
                     continue
                 for u in range(self.K):
                     if S >> u & 1:
-                        self.stored[u][atom] = payload
+                        self.stored[u].append(atom)
                 if S >> k0 & 1:
                     self._trace(pool_mask, S, "deliver")
                 else:
                     target = pool_mask | S
-                    self.seed_item(target, atom, 1 << k0, payload)
+                    self.seed_item(target, atom, 1 << k0)
                     self._record_transfer(pool_mask, target, 1 << k0)
                     self._trace(pool_mask, S, "promote")
                 break
@@ -186,7 +226,6 @@ class _Engine:
     def _run_multicast(self, pool_mask: int, pool: _Pool) -> None:
         atoms = np.asarray(pool.atoms, dtype=np.int64)
         needed = np.asarray(pool.needed, dtype=np.int64)
-        payloads = np.stack(pool.payloads)
         r = np.zeros(self.K, dtype=np.int64)
         for k0 in range(self.K):
             r[k0] = int(np.count_nonzero(needed >> k0 & 1))
@@ -194,25 +233,26 @@ class _Engine:
         for k0 in range(self.K):
             if r[k0] > 0:
                 active |= 1 << k0
-        act_idx = np.nonzero(needed & active)[0]
+        # atoms still wanted by an active user, shared by the combinations
+        # sent until the active set changes
+        act_atoms = atoms[np.nonzero(needed & active)[0]]
+        act_vals = self.vals[act_atoms]
         while active:
             self.slot += 1
-            coefs = self._coefs(len(act_idx))
-            payload = gf_dot(coefs, payloads[act_idx])
+            coefs = self._coefs(len(act_atoms))
             S = self._state()
             got = S & active
             moved = (active & ~S) if (S & ~pool_mask) else 0
             atom = -1
             if S or moved:
-                atom = self.next_atom
-                self.next_atom += 1
-                self.combos[atom] = (pool_mask, atoms[act_idx].copy(),
-                                     coefs, payload)
+                # a slot nobody heard needs no payload
+                atom = self._new_combo(pool_mask, act_atoms, coefs,
+                                       gf_dot(coefs, act_vals))
                 if self.debug:
                     self._check_payload(atom)
                 for u in range(self.K):
                     if S >> u & 1:
-                        self.stored[u][atom] = payload
+                        self.stored[u].append(atom)
                         if pool_mask >> u & 1:
                             self.member_rows[u].append(atom)
             for k0 in range(self.K):
@@ -220,7 +260,7 @@ class _Engine:
                     r[k0] -= 1
             if moved:
                 target = pool_mask | S
-                self.seed_item(target, atom, moved, payload)
+                self.seed_item(target, atom, moved)
                 self._record_transfer(pool_mask, target, moved)
                 for k0 in range(self.K):
                     if moved >> k0 & 1:
@@ -237,7 +277,8 @@ class _Engine:
                     finished |= 1 << k0
             if finished:
                 active &= ~finished
-                act_idx = np.nonzero(needed & active)[0]
+                act_atoms = atoms[np.nonzero(needed & active)[0]]
+                act_vals = self.vals[act_atoms]
 
     # -- debug -------------------------------------------------------------
 
@@ -247,7 +288,7 @@ class _Engine:
             return {atom: 1}
         if atom in self._expansion:
             return self._expansion[atom]
-        _, atom_ids, coefs, _ = self.combos[atom]
+        _, atom_ids, coefs = self.combos[atom]
         out: dict[int, int] = {}
         for a, c in zip(atom_ids.tolist(), coefs.tolist()):
             if c == 0:
@@ -265,145 +306,197 @@ class _Engine:
         expected = np.zeros(self.L, dtype=np.uint8)
         for pid, c in self._expand(atom).items():
             expected ^= MUL[c, self.values[pid]]
-        if not np.array_equal(expected, self.combos[atom][3]):
+        if not np.array_equal(expected, self.vals[atom]):
             raise DeliveryError("payload identity violated (engine bug)")
 
     # -- decoding ----------------------------------------------------------
 
-    def decode_user(self, k: int):
-        """Solve user k's banked equations.
+    def _known(self, k0: int) -> np.ndarray:
+        """Mask of the atoms user k0 + 1 holds: its cached packets and
+        every atom it heard."""
+        known = np.zeros(self.next_atom, dtype=bool)
+        known[:self.npackets] = (self.pmask >> k0 & 1).astype(bool)
+        known[self.stored[k0]] = True
+        return known
 
-        Returns (solved {packet id: value row}, unresolved demanded ids,
-        mutable rref state for cleanup continuation).
+    def _user_system(self, k0: int, known: np.ndarray):
+        """User k0 + 1's equations, grouped by the node of the dependency
+        graph they belong to: {node: [(columns, coefficients, rhs)]},
+        with the atom and the node of every column.
+
+        A pool's node holds the combinations the user heard there and
+        the definitions of those promoted out of it that the user needs;
+        its columns are the atoms the user needs in that pool.  A case-B
+        atom, a promoted combination the user neither heard nor needs,
+        is a node of its own, holding its definition and its column.
+        Pool nodes are pool masks, case-B nodes `full + 1 + column`.
         """
-        k0 = k - 1
         bit = 1 << k0
-        stored = self.stored[k0]
-        known_packet = (self.pmask & bit) != 0
-        for a in stored:
-            if a < self.npackets:
-                known_packet[a] = True
-        packet_col = np.full(self.npackets, -1, dtype=np.int64)
-        combo_col: dict[int, int] = {}
-        ncols = 0
-        rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        pending: list[int] = []
+        vals, L = self.vals, self.L
+        # the pool where the user needs each atom; a raw packet promoted
+        # out of {k} keeps its id, so the larger pool is the one that counts
+        home = np.zeros(self.next_atom, dtype=np.int64)
+        for pool_mask in sorted(self.pools, key=int.bit_count):
+            if pool_mask & bit:
+                pool = self.pools[pool_mask]
+                atoms = np.asarray(pool.atoms, dtype=np.int64)
+                home[atoms[np.asarray(pool.needed) & bit != 0]] = pool_mask
+        home[known] = 0
+        needed = np.nonzero(home)[0]
+        needed = needed[np.argsort(home[needed], kind="stable")]
+        col = np.full(self.next_atom, -1, dtype=np.int64)
+        col[needed] = np.arange(len(needed))
+        case_b: list[int] = []          # further columns, in column order
+        rows: dict[int, list] = {}
 
-        def resolve(atom_ids, coef_arr):
-            """Split one combination into unknown columns and a valued
-            right-hand-side contribution."""
-            nonlocal ncols
-            live = coef_arr != 0
-            ids, cs = atom_ids[live], coef_arr[live]
-            is_pkt = ids < self.npackets
-            pid, pc = ids[is_pkt], cs[is_pkt]
-            have = known_packet[pid]
-            rhs = gf_dot(pc[have], self.values[pid[have]])
-            upid, upc = pid[~have], pc[~have]
-            fresh = np.unique(upid[packet_col[upid] < 0])
-            if len(fresh):
-                packet_col[fresh] = np.arange(ncols, ncols + len(fresh))
-                ncols += len(fresh)
-            cols = [packet_col[upid]]
-            coefs = [upc]
-            extra_col, extra_c = [], []
-            for a, c in zip(ids[~is_pkt].tolist(), cs[~is_pkt].tolist()):
-                if a in stored:
-                    rhs = rhs ^ MUL[c, stored[a]]
-                else:
-                    col = combo_col.get(a)
-                    if col is None:
-                        col = combo_col[a] = ncols
-                        ncols += 1
-                        pending.append(a)
-                    extra_col.append(col)
-                    extra_c.append(c)
-            if extra_col:
-                cols.append(np.asarray(extra_col, dtype=np.int64))
-                coefs.append(np.asarray(extra_c, dtype=np.uint8))
-            return (np.concatenate(cols), np.concatenate(coefs),
-                    np.atleast_1d(rhs))
+        def split(ids, cs, rhs, own=None):
+            """Row `combination (+ own atom) = rhs` with its known atoms
+            folded into the right-hand side: (columns, coefficients,
+            rhs), or None when nothing unknown is left."""
+            live = cs != 0
+            kn = known[ids]
+            unknown = live & ~kn
+            if own is None and not unknown.any():
+                return None
+            kn &= live
+            if kn.any():
+                rhs = rhs ^ gf_dot(cs[kn], vals[ids[kn]])
+            ids, cs = ids[unknown], cs[unknown]
+            c = col[ids]
+            fresh = c < 0
+            if fresh.any():
+                new = np.unique(ids[fresh])
+                base = len(needed) + len(case_b)
+                col[new] = np.arange(base, base + len(new))
+                case_b.extend(new.tolist())
+                c = col[ids]
+            if own is not None:
+                c, cs = np.append(c, col[own]), np.append(cs, np.uint8(1))
+            return c, cs, rhs
 
         for atom in self.member_rows[k0]:
-            _, atom_ids, coefs, payload = self.combos[atom]
-            cols, cs, rhs = resolve(atom_ids, coefs)
-            rows.append((cols, cs, rhs ^ payload))
-        while pending:
-            a = pending.pop()
-            _, atom_ids, coefs, payload = self.combos[a]
-            cols, cs, rhs = resolve(atom_ids, coefs)
-            cols = np.append(cols, combo_col[a])
-            cs = np.append(cs, np.uint8(1))
-            rows.append((cols, cs, rhs))
+            src, ids, cs = self.combos[atom]
+            row = split(ids, cs, vals[atom])
+            if row is not None:
+                rows.setdefault(src, []).append(row)
+        # definitions read `atom + combination = 0`
+        zero = np.zeros(L, dtype=np.uint8)
+        for atom in needed[needed >= self.npackets].tolist():
+            src, ids, cs = self.combos[atom]
+            rows.setdefault(src, []).append(split(ids, cs, zero, atom))
+        i = 0
+        while i < len(case_b):          # a definition may meet more of them
+            _, ids, cs = self.combos[case_b[i]]
+            rows[self.full + 1 + len(needed) + i] = [
+                split(ids, cs, zero, case_b[i])]
+            i += 1
+        atom_of = np.concatenate([needed, np.asarray(case_b, dtype=np.int64)])
+        node_of = np.concatenate([home[needed], self.full + 1
+                                  + np.arange(len(needed), len(atom_of))])
+        return rows, atom_of, node_of
 
-        m = np.zeros((len(rows), ncols + self.L), dtype=np.uint8)
-        for i, (cols, cs, rhs) in enumerate(rows):
-            m[i, cols] = cs
-            m[i, ncols:] = rhs
-        pivots = rref(m, ncols)
-        col_of: dict[int, int] = {
-            pid: int(packet_col[pid])
-            for pid in np.nonzero(packet_col >= 0)[0].tolist()}
-        col_of.update(combo_col)
-        state = [m, pivots, col_of]
-        solved, unresolved = self._extract(k, state)
+    def decode_user(self, k: int):
+        """Solve user k's banked equations block by block.
+
+        A pool only combines atoms seeded into it, so the equations fall
+        into blocks, one per node of `_user_system`.  Blocks are
+        eliminated in dependency order, nodes closed in a cycle merged
+        into one block, and solved values are folded into the right-hand
+        sides of later blocks.  A rank-deficient block and every block
+        downstream of it go into one residual system.
+
+        Returns (solved {packet id: value row}, unresolved demanded ids,
+        the residual state for cleanup continuation).
+        """
+        k0 = k - 1
+        L = self.L
+        known = self._known(k0)
+        rows, atom_of, node_of = self._user_system(k0, known)
+        ncols = len(atom_of)
+        nodes, starts, counts = np.unique(node_of, return_index=True,
+                                          return_counts=True)
+        span = {v: np.arange(s, s + n) for v, s, n in
+                zip(nodes.tolist(), starts.tolist(), counts.tolist())}
+        deps = {v: set(np.unique(node_of[np.concatenate([r[0] for r in rs])])
+                       .tolist()) for v, rs in rows.items()}
+        for v in span:
+            deps.setdefault(v, set())
+
+        status = np.zeros(ncols, dtype=np.int8)   # 1 solved, 2 residual
+        sol = np.zeros((ncols, L), dtype=np.uint8)
+        loc = np.empty(ncols, dtype=np.int64)
+        no_cols = np.empty(0, dtype=np.int64)    # a node with rows only
+        residual: list = []
+        merged = 0
+        for block in _components(deps):
+            merged += len(block) > 1
+            bcols = np.concatenate([span.get(v, no_cols) for v in block])
+            brows, stuck = [], False
+            for v in block:
+                for c, cs, rhs in rows.get(v, ()):
+                    st = status[c]
+                    done = st == 1
+                    if done.any():
+                        rhs = rhs ^ gf_dot(cs[done], sol[c[done]])
+                        c, cs, st = c[~done], cs[~done], st[~done]
+                    if len(c):
+                        stuck = stuck or bool((st == 2).any())
+                        brows.append((c, cs, rhs))
+            n = len(bcols)
+            if not stuck:
+                if n == 0:
+                    continue
+                m = _fill(brows, bcols, loc, L)
+                pivots = rref(m, n)
+                if len(pivots) == n:
+                    pc = np.fromiter(pivots.keys(), np.int64, n)
+                    pr = np.fromiter(pivots.values(), np.int64, n)
+                    sol[bcols[pc]] = m[pr, n:]
+                    status[bcols] = 1
+                    continue
+            status[bcols] = 2
+            residual += brows
+
+        rcols = np.nonzero(status == 2)[0]
+        m = _fill(residual, rcols, loc, L)
+        pivots = rref(m, len(rcols)) if len(rcols) else {}
+        done = np.nonzero((status == 1) & (atom_of < self.npackets))[0]
+        md = self.must_decode[k0]
+        state = _Residual(
+            m=m, pivots=pivots,
+            col_of=dict(zip(atom_of[rcols].tolist(), range(len(rcols)))),
+            solved=dict(zip(atom_of[done].tolist(), sol[done])),
+            need=md[~known[md]].tolist(), merged=merged)
+        solved, unresolved = self._extract(state)
         return solved, unresolved, state
 
-    def _extract(self, k: int, state):
-        m, pivots, col_of = state
-        n = len(col_of)
-        bit = 1 << (k - 1)
-        solved: dict[int, np.ndarray] = {}
-        id_of = {c: a for a, c in col_of.items()}
-        for c, rw in pivots.items():
-            if np.count_nonzero(m[rw, :n]) == 1 and id_of[c] < self.npackets:
+    def _extract(self, state: _Residual):
+        m, n = state.m, len(state.col_of)
+        solved = dict(state.solved)
+        id_of = {c: a for a, c in state.col_of.items()}
+        for c, rw in state.pivots.items():
+            if id_of[c] < self.npackets and np.count_nonzero(m[rw, :n]) == 1:
                 solved[id_of[c]] = m[rw, n:]
-        unresolved = []
-        for pid in self.must_decode[k - 1].tolist():
-            if self.pmask[pid] & bit or pid in self.stored[k - 1]:
-                continue
-            if pid not in solved:
-                unresolved.append(pid)
-        return solved, unresolved
+        return solved, [pid for pid in state.need if pid not in solved]
 
     def recovered_file(self, k: int, file_ids: np.ndarray,
                        solved: dict[int, np.ndarray]) -> np.ndarray | None:
         """Reassemble the demanded packets byte-exactly, or None."""
-        bit = 1 << (k - 1)
-        out = np.zeros((len(file_ids), self.L), dtype=np.uint8)
-        for i, pid in enumerate(file_ids.tolist()):
-            if self.pmask[pid] & bit:
-                out[i] = self.values[pid]
-            elif pid in self.stored[k - 1]:
-                out[i] = self.stored[k - 1][pid]
-            elif pid in solved:
-                out[i] = solved[pid]
-            else:
+        out = self.values[file_ids]
+        for i in np.nonzero(~self._known(k - 1)[file_ids])[0].tolist():
+            got = solved.get(int(file_ids[i]))
+            if got is None:
                 return None
+            out[i] = got
         return out
 
-    def _ensure_columns(self, state, ids) -> None:
-        """Widen the system with all-zero columns for packets that never
-        appeared in any banked equation (possible at small field orders)."""
-        m, _, col_of = state
-        missing = [pid for pid in ids if pid not in col_of]
-        if not missing:
-            return
-        n = len(col_of)
-        state[0] = np.concatenate(
-            [m[:, :n], np.zeros((m.shape[0], len(missing)), np.uint8),
-             m[:, n:]], axis=1)
-        for pid in missing:
-            col_of[pid] = n
-            n += 1
-
-    def cleanup(self, k: int, state, budget: int) -> tuple[int, list[int]]:
+    def cleanup(self, k: int, state: _Residual,
+                budget: int) -> tuple[int, list[int]]:
         """Feedback retransmission of fresh combinations over the still
         unresolved packets until user k can finish, within `budget` slots."""
         k0 = k - 1
         used = 0
-        _, unresolved = self._extract(k, state)
-        self._ensure_columns(state, unresolved)
+        _, unresolved = self._extract(state)
         while unresolved:
             if used >= budget:
                 return used, unresolved
@@ -415,19 +508,73 @@ class _Engine:
             S = self._state()
             if not S >> k0 & 1:
                 continue
-            m, pivots, col_of = state
-            n = len(col_of)
+            n = len(state.col_of)
             row = np.zeros(n + self.L, dtype=np.uint8)
-            for pid, c in zip(unresolved, coefs.tolist()):
-                row[col_of[pid]] ^= c
+            row[[state.col_of[pid] for pid in unresolved]] = coefs
             row[n:] = payload
-            state[0], _ = append_reduced(m, pivots, row, n)
-            _, unresolved = self._extract(k, state)
+            state.m, _ = append_reduced(state.m, state.pivots, row, n)
+            _, unresolved = self._extract(state)
         return used, []
 
-    def final_solved(self, k: int, state) -> dict[int, np.ndarray]:
-        solved, _ = self._extract(k, state)
+    def final_solved(self, k: int, state: _Residual) -> dict[int, np.ndarray]:
+        solved, _ = self._extract(state)
         return solved
+
+
+def _fill(rows: list, cols: np.ndarray, loc: np.ndarray, L: int) -> np.ndarray:
+    """Dense (rows, len(cols) + L) matrix of `rows` over `cols`; `loc` is
+    scratch indexed by global column."""
+    n = len(cols)
+    loc[cols] = np.arange(n)
+    m = np.zeros((len(rows), n + L), dtype=np.uint8)
+    for i, (c, cs, rhs) in enumerate(rows):
+        m[i, loc[c]] = cs
+        m[i, n:] = rhs
+    return m
+
+
+def _components(deps: dict[int, set[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph `deps` (node -> the
+    nodes it depends on), each listed after every component it depends
+    on (Tarjan's algorithm, iterative)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    out: list[list[int]] = []
+    for root in deps:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(deps[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(deps[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out
 
 
 def _file_offsets(cfg: SystemConfig) -> np.ndarray:
@@ -447,13 +594,22 @@ def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = No
     raises CleanupBudgetExceeded.
     """
     demand = demand or Demand.identity(cfg.K)
+    eng = _delivered(cfg, pm, demand, seed, start_phase, payload_len,
+                     trace=trace, debug=debug, state_source=state_source)
+    return _finish(cfg, eng, demand, seed, decode, cleanup_budget)
+
+
+def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
+               start_phase: int = 1, payload_len: int = 1,
+               **engine_kw) -> _Engine:
+    """The engine after seeding the pools and running phases
+    start_phase..K, before any decoding."""
     if len(set(demand.assignment)) != cfg.K:
         raise DeliveryError("demands must be distinct")
     if not 1 <= start_phase <= cfg.K:
         raise DeliveryError("start_phase out of range")
     eng = _Engine(cfg.K, cfg.delta, seed, q=cfg.field_order,
-                  payload_len=payload_len, trace=trace, debug=debug,
-                  state_source=state_source)
+                  payload_len=payload_len, **engine_kw)
     off = _file_offsets(cfg)
     pmask = np.concatenate([m.astype(np.int64) for m in pm.cache_masks])
     eng.set_packets(int(off[-1]), pmask)
@@ -466,10 +622,9 @@ def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = No
         for pid, mce in zip(ids.tolist(), masks.tolist()):
             if mce >> k0 & 1:
                 continue
-            eng.seed_item(int(mce) | (1 << k0), pid, 1 << k0,
-                          eng.values[pid])
+            eng.seed_item(int(mce) | (1 << k0), pid, 1 << k0)
     eng.run(start_phase=start_phase)
-    return _finish(cfg, eng, demand, seed, decode, cleanup_budget, off)
+    return eng
 
 
 def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
@@ -488,7 +643,7 @@ def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
     for g in groups:
         gm = mask_of(g)
         for _ in range(n_packets):
-            eng.seed_item(gm, pid, gm, eng.values[pid])
+            eng.seed_item(gm, pid, gm)
             for k in g:
                 want[k - 1].append(pid)
             pid += 1
@@ -497,12 +652,11 @@ def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
     eng.run(start_phase=order)
     cfg = SystemConfig(K=K, N=K, delta=tuple(delta), mem=(0.0,) * K,
                        file_sizes=(1,) * K, field_order=q)
-    return _finish(cfg, eng, None, seed, decode, cleanup_budget, None)
+    return _finish(cfg, eng, None, seed, decode, cleanup_budget)
 
 
 def _finish(cfg: SystemConfig, eng: _Engine, demand: Demand | None, seed: int,
-            decode: bool, cleanup_budget: int | None,
-            off: np.ndarray | None) -> SimResult:
+            decode: bool, cleanup_budget: int | None) -> SimResult:
     cleanup_slots = 0
     decode_ok = None
     recovered: dict[int, np.ndarray] | None = None

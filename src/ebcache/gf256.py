@@ -1,4 +1,4 @@
-"""Arithmetic over GF(2^8) and a small linear solver.
+"""Arithmetic over GF(2^8) and Gaussian elimination over it.
 
 The field is fixed: reduction polynomial 0x11B, log/antilog tables built
 from the generator 0x03.  Addition is XOR.  All heavy operations go
@@ -56,25 +56,10 @@ def gf_dot(coefs: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.zeros(width, dtype=np.uint8)
     if values.ndim == 1:
         return np.bitwise_xor.reduce(MUL[coefs, values])
-    return np.bitwise_xor.reduce(MUL[coefs[:, None], values], axis=0)
-
-
-class SparseVector(dict):
-    """Coefficient vector over a global packet-id space.
-
-    Maps packet id -> nonzero coefficient.  Plain dict with the invariant
-    that zero coefficients are never stored.
-    """
-
-    def add_scaled(self, other: "SparseVector", coef: int) -> None:
-        if coef == 0:
-            return
-        for pid, c in other.items():
-            v = self.get(pid, 0) ^ gf_mul(coef, c)
-            if v:
-                self[pid] = v
-            else:
-                self.pop(pid, None)
+    # one lookup per product in the flat table, at (coef << 8) | value;
+    # 16-bit indices keep the temporary small for wide payloads
+    idx = (coefs.astype(np.uint16) << 8)[:, None] | values
+    return np.bitwise_xor.reduce(MUL.ravel()[idx], axis=0)
 
 
 class InconsistentSystemError(Exception):
@@ -106,7 +91,8 @@ def rref(matrix: np.ndarray, ncols: int) -> dict[int, int]:
         upd = np.nonzero(col)[0]
         if len(upd):
             # columns left of c are already zero in the pivot row
-            matrix[upd, c:] ^= MUL[col[upd][:, None], matrix[r, c:][None, :]]
+            idx = (col[upd].astype(np.uint16) << 8)[:, None] | matrix[r, c:]
+            matrix[upd, c:] ^= MUL.ravel()[idx]
         pivots[c] = r
         r += 1
         if r == nrows:
@@ -140,45 +126,3 @@ def append_reduced(matrix: np.ndarray, pivots: dict[int, int], row: np.ndarray,
     matrix = np.vstack([matrix, row])
     pivots[c] = matrix.shape[0] - 1
     return matrix, True
-
-
-class LinearSystem:
-    """Rows of (SparseVector, payload) over a set of unknown packet ids."""
-
-    def __init__(self, unknowns, payload_width: int = 1):
-        self.unknowns = sorted(unknowns)
-        self.payload_width = payload_width
-        self.rows: list[tuple[SparseVector, np.ndarray]] = []
-
-    def add_row(self, coeffs: SparseVector, payload) -> None:
-        payload = np.atleast_1d(np.asarray(payload, dtype=np.uint8))
-        if set(coeffs) - set(self.unknowns):
-            raise ValueError("row support outside the declared unknowns")
-        self.rows.append((coeffs, payload))
-
-
-def solve(system: LinearSystem) -> tuple[dict[int, np.ndarray], set[int]]:
-    """Gaussian elimination; returns (solved values, unresolved ids).
-
-    When rank equals the number of unknowns the second element is empty.
-    Contradictory rows raise InconsistentSystemError.
-    """
-    ids = system.unknowns
-    col_of = {pid: i for i, pid in enumerate(ids)}
-    n = len(ids)
-    w = system.payload_width
-    m = np.zeros((len(system.rows), n + w), dtype=np.uint8)
-    for i, (coeffs, payload) in enumerate(system.rows):
-        for pid, c in coeffs.items():
-            m[i, col_of[pid]] ^= c
-        m[i, n:] = payload
-    pivots = rref(m, n)
-    for i in range(m.shape[0]):
-        if not m[i, :n].any() and m[i, n:].any():
-            raise InconsistentSystemError("contradictory equation in system")
-    solved: dict[int, np.ndarray] = {}
-    for c, r in pivots.items():
-        if np.count_nonzero(m[r, :n]) == 1:
-            solved[ids[c]] = m[r, n:].copy()
-    unresolved = {pid for pid in ids if pid not in solved}
-    return solved, unresolved

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 CONFIG_KEYS = {"K", "N", "delta", "mem", "file_sizes", "field_order"}
+SUPPORTED_FIELD_ORDERS = (2, 256)
 
 
 def mask_of(users: Iterable[int]) -> int:
@@ -158,7 +159,7 @@ def validate_config(cfg: SystemConfig) -> ValidationResult:
             if not isinstance(f, int) or f < 0:
                 v.append(f"file_sizes[{i + 1}]")
     q = cfg.field_order
-    if not isinstance(q, int) or q < 2 or q & (q - 1):
+    if not isinstance(q, int) or q not in SUPPORTED_FIELD_ORDERS:
         v.append("field_order")
     return ValidationResult(not v, v)
 

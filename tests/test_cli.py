@@ -160,6 +160,15 @@ def test_unknown_config_key_is_exit_1(capsys, tmp_path):
     assert main(["region", "--config", str(bad)]) == 1
 
 
+def test_unsupported_field_order_is_exit_1(capsys, tmp_path):
+    bad = tmp_path / "q16.json"
+    bad.write_text(json.dumps({"K": 2, "N": 2, "delta": [0.2, 0.2],
+                               "mem": [1, 1], "file_sizes": [24, 24],
+                               "field_order": 16}))
+    assert main(["simulate", "--config", str(bad), "--seed", "0"]) == 1
+    assert "field_order" in capsys.readouterr().err
+
+
 def test_decode_failure_is_exit_2(capsys, tmp_path):
     cfgp = tmp_path / "q2.json"
     cfgp.write_text(json.dumps({"K": 2, "N": 2, "delta": [0.2, 0.2],

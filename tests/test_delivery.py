@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebcache import analysis
 from ebcache.delivery import (CleanupBudgetExceeded, DeliveryError,
-                              run_delivery, run_order_start)
+                              _delivered, run_delivery, run_order_start)
+from ebcache.gf256 import MUL, rref
 from ebcache.fastsim import (initial_needs, order_start_needs,
                              run_delivery_lengths, simulate_lengths)
 from ebcache.model import Demand, SystemConfig
@@ -136,6 +139,14 @@ def test_rejects_bad_inputs():
         run_delivery(bad, decentralized_placement(bad, 0), seed=0)
 
 
+def test_order_start_rejects_certain_erasure_up_front():
+    # a user who never hears the channel would keep its pools open forever
+    with pytest.raises(DeliveryError, match="delta"):
+        run_order_start(2, (1.0, 1.0), 1, 5)
+    with pytest.raises(DeliveryError, match="delta"):
+        run_order_start(3, (0.2, 1.5, 0.2), 2, 5, decode=True)
+
+
 def test_promotions_only_enlarge_the_target_set():
     cfg = cfg_of((0.4,) * 3, (0.4,) * 3, 200)
     pm = decentralized_placement(cfg, 3)
@@ -235,3 +246,82 @@ def test_initial_needs_match_placement_counts():
     total_for_user1 = sum(needs[m][0] for m in needs)
     assert total_for_user1 == int(np.count_nonzero(
         (pm.cache_masks[0] & 1) == 0))
+
+
+# -- block decoder against one global elimination -----------------------------
+
+
+def global_solve(eng, k):
+    """Packets user k can decode, from one rref over its whole system:
+    every combination it heard in its own pools, plus the definition of
+    every combination they reach that it did not hear."""
+    k0, L = k - 1, eng.L
+    known = set(np.nonzero(eng.pmask >> k0 & 1)[0].tolist()) | set(eng.stored[k0])
+    col: dict[int, int] = {}
+    pending, rows = [], []
+
+    def row(atom, rhs):
+        _, ids, cs = eng.combos[atom]
+        coefs = {}
+        for a, c in zip(ids.tolist(), cs.tolist()):
+            if c == 0:
+                continue
+            if a in known:
+                rhs = rhs ^ MUL[c, eng.vals[a]]
+                continue
+            if a not in col:
+                col[a] = len(col)
+                if a >= eng.npackets:
+                    pending.append(a)
+            coefs[col[a]] = c
+        return coefs, rhs
+
+    for atom in eng.member_rows[k0]:
+        rows.append(row(atom, eng.vals[atom]))
+    while pending:
+        atom = pending.pop()
+        coefs, rhs = row(atom, np.zeros(L, np.uint8))
+        coefs[col[atom]] = 1
+        rows.append((coefs, rhs))
+    n = len(col)
+    m = np.zeros((len(rows), n + L), dtype=np.uint8)
+    for i, (coefs, rhs) in enumerate(rows):
+        m[i, list(coefs)] = list(coefs.values())
+        m[i, n:] = rhs
+    pivots = rref(m, n)
+    atom_of = {c: a for a, c in col.items()}
+    return {atom_of[c]: m[r, n:] for c, r in pivots.items()
+            if atom_of[c] < eng.npackets and np.count_nonzero(m[r, :n]) == 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 80), st.sampled_from([2, 256]),
+       st.sampled_from([1, 3]), st.integers(0, 10_000), st.data())
+def test_block_decoder_matches_one_global_elimination(K, F, q, L, seed, data):
+    delta = data.draw(st.lists(st.floats(0.0, 0.7), min_size=K, max_size=K))
+    p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
+    start = data.draw(st.integers(1, 2))
+    cfg = cfg_of(delta, p, F, q=q)
+    pm = decentralized_placement(cfg, seed)
+    eng = _delivered(cfg, pm, Demand.identity(K), seed + 1, start, L)
+    for k in range(1, K + 1):
+        want = global_solve(eng, k)
+        solved, unresolved, _ = eng.decode_user(k)
+        assert set(solved) == set(want)
+        assert all(np.array_equal(solved[pid], want[pid]) for pid in want)
+        assert set(unresolved).isdisjoint(want)
+
+
+def test_block_decoder_merges_pools_closed_in_a_cycle():
+    # user 4 meets a promoted combination it neither heard nor needs whose
+    # pool of origin depends on the pool it reached: one merged block
+    cfg = cfg_of((0.2, 0.3, 0.4, 0.5), (0.5, 0.4, 0.3, 0.6), 40)
+    pm = decentralized_placement(cfg, 18)
+    eng = _delivered(cfg, pm, Demand.identity(4), 118)
+    solved, unresolved, state = eng.decode_user(4)
+    assert state.merged >= 1
+    assert not unresolved
+    assert set(solved) == set(global_solve(eng, 4))
+    res = run_delivery(cfg, pm, seed=118)
+    assert res.decode_ok == [True] * 4
+

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcache.gf256 import (MUL, InconsistentSystemError, LinearSystem,
-                           SparseVector, append_reduced, gf_dot, gf_inv,
-                           gf_mul, rref, solve)
+from ebcache.gf256 import (MUL, InconsistentSystemError, append_reduced,
+                           gf_dot, gf_inv, gf_mul, rref)
 
 
 def slow_mul(a, b):
@@ -64,60 +63,58 @@ def test_gf_dot_matches_scalar_loop():
     assert gf_dot(np.empty(0, np.uint8), np.empty((0, 2), np.uint8)).shape == (2,)
 
 
-def test_solve_identity_row():
-    sys_ = LinearSystem({1})
-    sys_.add_row(SparseVector({1: 0x01}), [0x2A])
-    solved, unresolved = solve(sys_)
-    assert not unresolved
-    assert solved[1][0] == 0x2A
+def system(rows, n):
+    """Augmented uint8 matrix from (coefficient list, payload byte) rows."""
+    m = np.array([list(c) + [p] for c, p in rows], dtype=np.uint8)
+    return m.reshape(-1, n + 1)
 
 
-def test_solve_two_random_rows_round_trip():
+def determined(m, pivots, n):
+    """Unknowns fixed by an RREF matrix: pivot rows with one nonzero."""
+    return {c: int(m[r, n]) for c, r in pivots.items()
+            if np.count_nonzero(m[r, :n]) == 1}
+
+
+def test_rref_identity_row():
+    m = system([((0x01,), 0x2A)], 1)
+    assert determined(m, rref(m, 1), 1) == {0: 0x2A}
+
+
+def test_rref_two_random_rows_round_trip():
     rng = np.random.default_rng(2)
-    truth = {10: 0x7D, 11: 0x3E}
-    sys_ = LinearSystem(truth)
+    truth = [0x7D, 0x3E]
+    rows = []
     for _ in range(2):
-        c = {pid: int(rng.integers(1, 256)) for pid in truth}
-        payload = 0
-        for pid, cc in c.items():
-            payload ^= gf_mul(cc, truth[pid])
-        sys_.add_row(SparseVector(c), [payload])
-    solved, unresolved = solve(sys_)
-    assert not unresolved
-    assert {pid: int(v[0]) for pid, v in solved.items()} == truth
+        c = [int(x) for x in rng.integers(1, 256, 2)]
+        rows.append((c, gf_mul(c[0], truth[0]) ^ gf_mul(c[1], truth[1])))
+    m = system(rows, 2)
+    assert determined(m, rref(m, 2), 2) == {0: 0x7D, 1: 0x3E}
 
 
-def test_solve_underdetermined_reports_ids():
-    sys_ = LinearSystem({5, 6})
-    sys_.add_row(SparseVector({5: 1, 6: 1}), [0x11])
-    solved, unresolved = solve(sys_)
-    assert unresolved == {5, 6}
-    assert not solved
+def test_rref_underdetermined_leaves_unresolved():
+    m = system([((1, 1), 0x11)], 2)
+    pivots = rref(m, 2)
+    assert len(pivots) == 1
+    assert determined(m, pivots, 2) == {}
 
 
-def test_solve_inconsistent_raises():
-    sys_ = LinearSystem({7})
-    sys_.add_row(SparseVector({7: 1}), [1])
-    sys_.add_row(SparseVector({7: 1}), [2])
+def test_append_reduced_contradictory_row_raises():
+    m = system([((1,), 1)], 1)
+    pivots = rref(m, 1)
     with pytest.raises(InconsistentSystemError):
-        solve(sys_)
+        append_reduced(m, pivots, np.array([1, 2], np.uint8), 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 10_000))
-def test_solve_round_trips_random_full_systems(n, seed):
+def test_rref_round_trips_random_full_systems(n, seed):
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, 256, n, dtype=np.uint8)
-    sys_ = LinearSystem(range(n))
     # n + 2 random rows are full rank except with ~2^-16 probability
-    for _ in range(n + 2):
-        coefs = rng.integers(0, 256, n, dtype=np.uint8)
-        payload = int(gf_dot(coefs, truth))
-        sys_.add_row(SparseVector({i: int(c) for i, c in enumerate(coefs) if c}),
-                     [payload])
-    solved, unresolved = solve(sys_)
-    assert not unresolved
-    assert all(int(solved[i][0]) == truth[i] for i in range(n))
+    coefs = rng.integers(0, 256, (n + 2, n), dtype=np.uint8)
+    rhs = np.array([gf_dot(c, truth) for c in coefs], dtype=np.uint8)
+    m = np.concatenate([coefs, rhs[:, None]], axis=1)
+    assert determined(m, rref(m, n), n) == dict(enumerate(truth.tolist()))
 
 
 def test_append_reduced_grows_rank_and_flags_conflict():
@@ -130,9 +127,3 @@ def test_append_reduced_grows_rank_and_flags_conflict():
     assert grew and m3.shape[0] == 2
     with pytest.raises(InconsistentSystemError):
         append_reduced(m3, pivots, np.array([1, 2, 0xFF], np.uint8), 2)
-
-
-def test_sparse_vector_drops_zeros():
-    v = SparseVector({1: 3})
-    v.add_scaled(SparseVector({1: 3, 2: 7}), 1)
-    assert 1 not in v and v[2] == 7

@@ -46,6 +46,13 @@ def test_validate_rejects_n_below_k_and_bad_field_order():
     assert "N" in res.violations and "field_order" in res.violations
 
 
+def test_validate_accepts_only_supported_field_orders():
+    for q, ok in ((2, True), (256, True), (16, False), (4, False)):
+        cfg = SystemConfig(K=2, N=2, delta=(.25,) * 2, mem=(1,) * 2,
+                           file_sizes=(10, 10), field_order=q)
+        assert ("field_order" not in validate_config(cfg).violations) == ok
+
+
 def test_demand_validation():
     cfg = cfg_of((.2, .2), (0, 0))
     assert validate_demand(cfg, Demand.identity(2)).ok
