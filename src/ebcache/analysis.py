@@ -1,7 +1,12 @@
 """Closed-form rate/length analysis: region weights and inequalities,
-transmission-length formulas (recursive plan and max-over-permutations
-closed form), order-j capacities, decomposition identities, no-feedback
-and centralized baselines, and the MISO DoF duals.
+transmission-length formulas (recursive plan and max-over-orders closed
+form), order-j capacities, decomposition identities, no-feedback and
+centralized baselines, and the MISO DoF duals.
+
+A region weight w(S) depends only on the set S, so each maximum over
+user orders of sum_k w(pi_1..pi_k) x_{pi_k} is a longest chain in the
+subset lattice, O(K 2^K) for any K; only `region_inequalities`, which
+lists all K! rows, refuses K > 8.
 
 Everything here is pure float arithmetic; the packet-level simulator in
 `delivery` provides the independent stochastic cross-check.
@@ -11,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, prod
+from functools import lru_cache
+from math import comb, inf
 from typing import Sequence
 
 import numpy as np
@@ -24,17 +30,64 @@ MAX_PERMUTATION_K = 8
 FEASIBILITY_TOL = 1e-9
 
 
-def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+def _subset_products(out: Sequence[float], into: Sequence[float],
+                     start: float = 1.0) -> list[float]:
+    """t[m] = start * prod_i (into[i] if bit i of m is set else out[i]) for
+    every mask m < 2^K, multiplied in ascending i, so each entry equals
+    the product a loop over the bits takes.  Plain floats: at small K they
+    beat numpy's per-call overhead, and at any K the O(2^K) products cost
+    less than the O(K 2^K) pass that reads them."""
+    t = [start]
+    for a, b in zip(out, into):
+        t = [v * a for v in t] + [v * b for v in t]
+    return t
 
 
-def _weight(p: Sequence[float], d: Sequence[float], mask: int) -> float:
-    num = 1.0
-    dd = 1.0
-    for i in _bits(mask):
-        num *= 1.0 - p[i]
-        dd *= d[i]
-    return num / (1.0 - dd)
+def _weights(p: Sequence[float], delta: Sequence[float]) -> list[float]:
+    """Region weight w(m) = prod_{i in m}(1-p_i) / (1 - prod_{i in m} delta_i)
+    of every mask m < 2^K, 0.0 on the empty mask."""
+    for i, x in enumerate(delta):
+        if x >= 1.0:
+            raise ValueError(f"delta[{i + 1}] must be < 1")
+    ones = [1.0] * len(delta)
+    keep = _subset_products(ones, [1.0 - x for x in p])
+    erase = _subset_products(ones, delta)
+    return [0.0] + [k / (1.0 - e) for k, e in zip(keep[1:], erase[1:])]
+
+
+@lru_cache(maxsize=None)
+def _user_tuples(K: int) -> tuple[tuple[int, ...], ...]:
+    """users_of(m) for every mask m < 2^K."""
+    return tuple(users_of(m) for m in range(1 << K))
+
+
+def _lattice_max(w: Sequence[float], x: Sequence[float]
+                 ) -> tuple[float, tuple[int, ...]]:
+    """max over orders pi of sum_k w[pi_1..pi_k] * x[pi_k] and a maximizing
+    order (1-based), as the longest chain in the subset lattice:
+    best(S) = max_{i in S} best(S - i) + w(S) * x_i.  Rounding is monotone,
+    so the value equals the largest of the K! float sums.  Ties put the
+    larger index last, so fully tied orders come out ascending."""
+    K = len(w).bit_length() - 1
+    if len(x) != K:
+        raise ValueError(f"need one value per user: {len(x)} for K = {K}")
+    best = [0.0] * (1 << K)
+    last = [0] * (1 << K)
+    for S in range(1, 1 << K):
+        wS = w[S]
+        top = -inf
+        for i in range(K):
+            if S >> i & 1:
+                v = best[S ^ (1 << i)] + wS * x[i]
+                if v >= top:
+                    top, last[S] = v, i
+        best[S] = top
+    order = []
+    S = (1 << K) - 1
+    while S:
+        order.append(last[S] + 1)
+        S ^= 1 << last[S]
+    return best[-1], tuple(reversed(order))
 
 
 def region_weight(cfg: SystemConfig, users) -> float:
@@ -42,31 +95,25 @@ def region_weight(cfg: SystemConfig, users) -> float:
     m = mask_of(users)
     if m == 0:
         raise ValueError("empty user set has no region weight")
-    for i in _bits(m):
-        if cfg.delta[i] >= 1.0:
-            raise ValueError(f"delta[{i + 1}] must be < 1")
-    return _weight(cfg.p, cfg.delta, m)
+    return _weights(cfg.p, cfg.delta)[m]
 
 
 def region_inequalities(cfg: SystemConfig) -> list[dict]:
     """All K! weighted-sum inequalities; each row gives the permutation
     and the coefficient applied to R_{perm[k]} with bound 1."""
-    _check_perm_size(cfg.K)
-    p, d = cfg.p, cfg.delta
+    if cfg.K > MAX_PERMUTATION_K:
+        raise ValueError(
+            f"K = {cfg.K} > {MAX_PERMUTATION_K}: K! enumeration refused")
+    w = _weights(cfg.p, cfg.delta)
     rows = []
     for perm in itertools.permutations(range(cfg.K)):
         m = 0
         coeffs = []
         for i in perm:
             m |= 1 << i
-            coeffs.append(_weight(p, d, m))
+            coeffs.append(w[m])
         rows.append({"perm": [i + 1 for i in perm], "coeffs": coeffs})
     return rows
-
-
-def _check_perm_size(K: int) -> None:
-    if K > MAX_PERMUTATION_K:
-        raise ValueError(f"K = {K} > {MAX_PERMUTATION_K}: K! enumeration refused")
 
 
 @dataclass
@@ -78,22 +125,11 @@ class FeasibilityResult:
 
 def feasibility(cfg: SystemConfig, r: RateVector,
                 tol: float = FEASIBILITY_TOL) -> FeasibilityResult:
-    """Check the rate vector against all K! inequalities; reports the
-    permutation with the largest left-hand side."""
-    _check_perm_size(cfg.K)
-    p, d = cfg.p, cfg.delta
-    worst = -1.0
-    worst_perm: tuple[int, ...] = ()
-    for perm in itertools.permutations(range(cfg.K)):
-        m = 0
-        lhs = 0.0
-        for i in perm:
-            m |= 1 << i
-            lhs += _weight(p, d, m) * r.rates[i]
-        if lhs > worst:
-            worst, worst_perm = lhs, perm
-    return FeasibilityResult(worst <= 1.0 + tol,
-                             tuple(i + 1 for i in worst_perm), worst)
+    """Check the rate vector against all K! inequalities at once, through
+    the lattice maximum; reports the order with the largest left-hand
+    side."""
+    worst, order = _lattice_max(_weights(cfg.p, cfg.delta), r.rates)
+    return FeasibilityResult(worst <= 1.0 + tol, order, worst)
 
 
 class DegenerateRegionError(ValueError):
@@ -116,10 +152,7 @@ class TwoUserRegion:
 def two_user_region(cfg: SystemConfig) -> TwoUserRegion:
     if cfg.K != 2:
         raise ValueError("two_user_region requires K = 2")
-    p, d = cfg.p, cfg.delta
-    w1 = _weight(p, d, 0b01)
-    w2 = _weight(p, d, 0b10)
-    w12 = _weight(p, d, 0b11)
+    _, w1, w2, w12 = _weights(cfg.p, cfg.delta)
     det = w1 * w2 - w12 * w12
     if abs(det) < 1e-15:
         if abs(w1 - w12) < 1e-15 and abs(w2 - w12) < 1e-15:
@@ -152,30 +185,7 @@ def ttot_closed_form(cfg: SystemConfig, demand: Demand | None = None,
     """max over permutations of sum_k w_{pi_1..pi_k} * F_{d_{pi_k}};
     returns the value and a maximizing permutation (1-based)."""
     F = _sizes_for(cfg, demand, sizes)
-    p, d = cfg.p, cfg.delta
-    if len(set(p)) == 1 and len(set(d)) == 1:
-        # prefix weights depend only on position, so the maximum pairs the
-        # largest sizes with the largest (earliest) weights
-        order = sorted(range(cfg.K), key=lambda i: -F[i])
-        pp, dd = 1.0, 1.0
-        total = 0.0
-        for i in order:
-            pp *= 1.0 - p[0]
-            dd *= d[0]
-            total += pp / (1.0 - dd) * F[i]
-        return total, tuple(i + 1 for i in order)
-    _check_perm_size(cfg.K)
-    best = -1.0
-    best_perm: tuple[int, ...] = ()
-    for perm in itertools.permutations(range(cfg.K)):
-        m = 0
-        s = 0.0
-        for i in perm:
-            m |= 1 << i
-            s += _weight(p, d, m) * F[i]
-        if s > best:
-            best, best_perm = s, perm
-    return best, tuple(i + 1 for i in best_perm)
+    return _lattice_max(_weights(cfg.p, cfg.delta), F)
 
 
 @dataclass
@@ -206,16 +216,6 @@ class PhasePlan:
         }
 
 
-def expected_subfile_size(cfg: SystemConfig, cached_users, size: float) -> float:
-    """Expected packets of a file of the given size cached by exactly the
-    stated user set under decentralized placement."""
-    m = mask_of(cached_users)
-    out = size
-    for i in range(cfg.K):
-        out *= cfg.p[i] if m >> i & 1 else (1.0 - cfg.p[i])
-    return out
-
-
 def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
                sizes: Sequence[float] | None = None,
                placement: PlacementMap | None = None) -> PhasePlan:
@@ -228,53 +228,66 @@ def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
     K = cfg.K
     F = _sizes_for(cfg, demand, sizes)
     p, d = cfg.p, cfg.delta
+    ones = [1.0] * K
+    erase = _subset_products(ones, d)
+    passed = _subset_products(ones, [1.0 - x for x in d])
+    users = _user_tuples(K)
     full = (1 << K) - 1
 
+    # need0[k0][c]: packets user k0 lacks that exactly the users in c cache
     if placement is not None:
         demand = demand or Demand.identity(K)
-        counts = [placement.subset_counts(demand.file_of(k))
-                  for k in range(1, K + 1)]
-
-        def need0(k0: int, cmask: int) -> float:
-            return float(counts[k0][cmask])
+        need0 = [placement.subset_counts(demand.file_of(k)).astype(float)
+                 .tolist() for k in range(1, K + 1)]
     else:
-        def need0(k0: int, cmask: int) -> float:
-            out = F[k0]
-            for i in range(K):
-                out *= p[i] if cmask >> i & 1 else (1.0 - p[i])
-            return out
+        q = [1.0 - x for x in p]
+        need0 = [_subset_products(q, p, F[k0]) for k0 in range(K)]
 
-    t: dict[tuple[int, int], float] = {}
+    t = [[0.0] * (1 << K) for _ in range(K)]   # t[k0][J]
     t_user: dict[tuple[tuple[int, ...], int], float] = {}
     t_sub: dict[tuple[int, ...], float] = {}
     transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], float] = {}
     total = 0.0
     for J in subsets_ascending(K):
-        Jt = users_of(J)
+        Jt = users[J]
         best = 0.0
-        for k0 in _bits(J):
-            outmask = (full & ~J) | (1 << k0)
-            dd = prod(d[i] for i in _bits(outmask))
-            denom = 1.0 - dd
-            need = need0(k0, J & ~(1 << k0))
-            sub = (J - 1) & J
-            while True:
-                if sub >> k0 & 1:
-                    rec = prod(1.0 - d[i] for i in _bits(J & ~sub))
-                    n = t[(sub, k0)] * dd * rec
-                    transfers[(users_of(sub), Jt, k0 + 1)] = n
-                    need += n
-                if sub == 0:
-                    break
-                sub = (sub - 1) & J
-            tk = need / denom
-            t[(J, k0)] = tk
-            t_user[(Jt, k0 + 1)] = tk
+        for k in Jt:
+            k0 = k - 1
+            tk0 = t[k0]
+            bit = 1 << k0
+            dd = erase[(full & ~J) | bit]
+            rest = J & ~bit
+            need = need0[k0][rest]
+            # earlier sub-phases sub = s | bit, s a proper subset of rest,
+            # in descending order
+            s = rest
+            while s:
+                s = (s - 1) & rest
+                sub = s | bit
+                n = tk0[sub] * dd * passed[rest & ~s]
+                transfers[(users[sub], Jt, k)] = n
+                need += n
+            tk = need / (1.0 - dd)
+            tk0[J] = tk
+            t_user[(Jt, k)] = tk
             if tk > best:
                 best = tk
         t_sub[Jt] = best
         total += best
     return PhasePlan(K, F, t_user, t_sub, transfers, total)
+
+
+def _alternating(w: Sequence[float], base: int, rest: int) -> float:
+    """sum over subsets s of rest, descending, of (-1)^|s| * w[base | s]."""
+    out = 0.0
+    sub = rest
+    while True:
+        sign = -1.0 if bin(sub).count("1") % 2 else 1.0
+        out += sign * w[base | sub]
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest
+    return out
 
 
 def subphase_length_alternating(cfg: SystemConfig, J, k: int,
@@ -286,18 +299,8 @@ def subphase_length_alternating(cfg: SystemConfig, J, k: int,
     if not Jm >> k0 & 1:
         raise ValueError("k must belong to J")
     full = (1 << cfg.K) - 1
-    base = (full & ~Jm) | (1 << k0)
-    rest = Jm & ~(1 << k0)
-    p, d = cfg.p, cfg.delta
-    out = 0.0
-    sub = rest
-    while True:
-        sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-        out += sign * _weight(p, d, base | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    return out * size
+    w = _weights(cfg.p, cfg.delta)
+    return _alternating(w, (full & ~Jm) | (1 << k0), Jm & ~(1 << k0)) * size
 
 
 def worst_user(plan: PhasePlan, J, rates: Sequence[float] | None = None) -> int:
@@ -424,25 +427,12 @@ def permutation_dominance(cfg: SystemConfig, r: RateVector,
     tight, check that every other permutation's left-hand side stays
     within 1 + tol.  Assumes users are ordered so the identity is the
     binding permutation (delta descending, one-sided fair rates)."""
-    _check_perm_size(cfg.K)
-    p, d = cfg.p, cfg.delta
-    m = 0
-    lhs_id = 0.0
-    for i in range(cfg.K):
-        m |= 1 << i
-        lhs_id += _weight(p, d, m) * r.rates[i]
+    w = _weights(cfg.p, cfg.delta)
+    lhs_id = sum(w[(2 << i) - 1] * r.rates[i] for i in range(cfg.K))
     if lhs_id <= 0.0:
         raise ValueError("identity inequality has nonpositive LHS")
-    scale = 1.0 / lhs_id
-    for perm in itertools.permutations(range(cfg.K)):
-        m = 0
-        lhs = 0.0
-        for i in perm:
-            m |= 1 << i
-            lhs += _weight(p, d, m) * r.rates[i]
-        if lhs * scale > 1.0 + tol:
-            return False
-    return True
+    top, _ = _lattice_max(w, r.rates)
+    return top * (1.0 / lhs_id) <= 1.0 + tol
 
 
 def region_vertices(cfg: SystemConfig, tol: float = 1e-9
@@ -541,17 +531,21 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
         F = tuple(rng.uniform(0.1, 3.0, kk))
         cfg = _cfg_from(d, p)
         plan = phase_plan(cfg, sizes=F)
+        # the recursion runs on cfg.p = (p * N) / N, the identities on p
+        w_cfg = _weights(cfg.p, cfg.delta)
+        w = _weights(p, d)
+        users = _user_tuples(kk)
         full = (1 << kk) - 1
         for Jm in subsets_ascending(kk):
-            Ju = users_of(Jm)
+            Ju = users[Jm]
             for k in Ju:
-                alt = subphase_length_alternating(cfg, Ju, k, F[k - 1])
+                bit = 1 << (k - 1)
+                alt = _alternating(w_cfg, (full & ~Jm) | bit, Jm & ~bit) * F[k - 1]
                 r_alt = max(r_alt, abs(alt - plan.t_user[(Ju, k)]))
-                agg = sum(plan.t_user[(users_of(Im), k)]
+                agg = sum(plan.t_user[(users[Im], k)]
                           for Im in subsets_ascending(kk)
-                          if Im & ~Jm == 0 and Im >> (k - 1) & 1)
-                w = _weight(p, d, (full & ~Jm) | (1 << (k - 1)))
-                r_agg = max(r_agg, abs(agg - w * F[k - 1]))
+                          if Im & ~Jm == 0 and Im & bit)
+                r_agg = max(r_agg, abs(agg - w[(full & ~Jm) | bit] * F[k - 1]))
             if Jm != full:
                 # telescoping weights lemma over subsets of J
                 acc = 0.0
@@ -560,14 +554,14 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
                     inner = sub
                     while True:
                         sign = -1.0 if bin(inner).count("1") % 2 else 1.0
-                        acc += sign * _weight(p, d, (full & ~sub) | inner)
+                        acc += sign * w[(full & ~sub) | inner]
                         if inner == 0:
                             break
                         inner = (inner - 1) & sub
                     if sub == 0:
                         break
                     sub = (sub - 1) & Jm
-                r_lem = max(r_lem, abs(acc - _weight(p, d, full & ~Jm)))
+                r_lem = max(r_lem, abs(acc - w[full & ~Jm]))
     rep.residuals["alternating_vs_recursion"] = r_alt
     rep.residuals["aggregate_identity"] = r_agg
     rep.residuals["weights_lemma"] = r_lem
@@ -588,8 +582,7 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
         plan = phase_plan(cfg, sizes=rates)
         closed, _ = ttot_closed_form(cfg, sizes=rates)
         r_plan = max(r_plan, abs(plan.total - closed))
-        for Jm in subsets_ascending(kk):
-            Ju = users_of(Jm)
+        for Ju in _user_tuples(kk)[1:]:
             if worst_user(plan, Ju) != Ju[0]:
                 rep.worst_user_ok = False
         if not permutation_dominance(cfg, RateVector(rates)):

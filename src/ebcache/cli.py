@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit status: 0 on success, 1 on configuration/validation errors, 2 on
-decode or identity failures.  All numeric output is rounded to 12
-significant digits; randomness flows from --seed (default 0, never the
-environment).
+Exit status: 0 on success, 1 on configuration/validation and usage
+errors, 2 on decode or identity failures.  All numeric output is rounded
+to 12 significant digits; randomness flows from --seed (default 0, never
+the environment).
 """
 
 from __future__ import annotations
@@ -203,18 +203,25 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other bad input (argparse uses 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="ebcache",
-                                  description=__doc__.splitlines()[0])
+    top = _Parser(prog="ebcache", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="config JSON path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--F", type=int, default=0,
-                       help="override every file size")
-        p.add_argument("--output", choices=("json", "csv"), default="json")
+    def common(p, F=False, seed=False):
+        p.add_argument("--config", required=True, help="config JSON path")
+        if F:
+            p.add_argument("--F", type=int, default=0,
+                           help="override every file size")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("region", help="emit rate-region inequalities")
     common(p)
@@ -226,17 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_feasible)
 
     p = sub.add_parser("ttot", help="closed-form and planned lengths")
-    common(p)
+    common(p, F=True)
     p.add_argument("--demand", default="")
     p.set_defaults(fn=_cmd_ttot)
 
     p = sub.add_parser("plan", help="full sub-phase length plan")
-    common(p)
+    common(p, F=True)
     p.add_argument("--demand", default="")
     p.set_defaults(fn=_cmd_plan)
 
     p = sub.add_parser("simulate", help="one seeded packet-level trial")
-    common(p)
+    common(p, F=True, seed=True)
     p.add_argument("--demand", default="")
     p.add_argument("--scheme", choices=("decentralized", "centralized"),
                    default="decentralized")
@@ -253,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter sweep over a grid")
-    common(p)
+    common(p, F=True, seed=True)
+    p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--vary", choices=("delta", "mem", "K"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("optimize-mem", help="cache allocation grid search")
-    common(p)
+    common(p, F=True)
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.set_defaults(fn=_cmd_optimize_mem)

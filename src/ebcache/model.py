@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 CONFIG_KEYS = {"K", "N", "delta", "mem", "file_sizes", "field_order"}
@@ -35,38 +36,12 @@ def users_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def subsets_ascending(K: int):
+@lru_cache(maxsize=None)
+def subsets_ascending(K: int) -> tuple[int, ...]:
     """All nonempty subsets of [K] as masks, by (cardinality, lexicographic
     member order) — the global sub-phase processing order."""
-    return sorted(range(1, 1 << K),
-                  key=lambda m: (bin(m).count("1"), users_of(m)))
-
-
-@dataclass(frozen=True)
-class UserSet:
-    """An immutable subset of users {1, ..., K} with canonical ordering."""
-
-    mask: int = 0
-
-    @classmethod
-    def of(cls, users: Iterable[int]) -> "UserSet":
-        return cls(mask_of(users))
-
-    @property
-    def users(self) -> tuple[int, ...]:
-        return users_of(self.mask)
-
-    def __iter__(self):
-        return iter(self.users)
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __contains__(self, user: int) -> bool:
-        return bool(self.mask >> (user - 1) & 1)
-
-    def to_json(self) -> list[int]:
-        return list(self.users)
+    return tuple(sorted(range(1, 1 << K),
+                        key=lambda m: (bin(m).count("1"), users_of(m))))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebcache import analysis
 from ebcache.analysis import (DegenerateRegionError, decomposition_residual,
                               feasibility, miso_dof_coefficient,
                               order_capacity, permutation_dominance,
-                              phase_plan, region_inequalities, region_vertices,
+                              phase_plan, random_one_sided_fair,
+                              region_inequalities, region_vertices,
                               region_weight, start_phase_tables,
                               subphase_length_alternating, symmetric_vertex,
                               ttot_centralized, ttot_closed_form,
@@ -59,10 +62,78 @@ def test_feasibility_boundary_and_interior():
     assert not res.feasible and res.worst_perm == (1, 2)
 
 
-def test_feasibility_rejects_large_k():
+def test_region_inequalities_refuses_k9():
     cfg = cfg_of((0.1,) * 9, (0.0,) * 9)
     with pytest.raises(ValueError, match="K!"):
-        feasibility(cfg, RateVector((0.0,) * 9))
+        region_inequalities(cfg)
+
+
+def _prefix_sum(cfg, x, order):
+    """sum_k w(order_1..order_k) * x_{order_k} for one 1-based order, with
+    w(S) = prod_S (1 - p) / (1 - prod_S delta) taken along the prefix."""
+    total, keep, erase = 0.0, 1.0, 1.0
+    for u in order:
+        keep *= 1.0 - cfg.p[u - 1]
+        erase *= cfg.delta[u - 1]
+        total += keep / (1.0 - erase) * x[u - 1]
+    return total
+
+
+def test_lattice_maximum_runs_beyond_k8():
+    rng = np.random.default_rng(12)
+    K = 12
+    cfg = cfg_of(rng.uniform(0.1, 0.9, K), rng.uniform(0.0, 1.0, K))
+    sizes = tuple(rng.uniform(0.5, 2.0, K))
+    v, order = ttot_closed_form(cfg, sizes=sizes)
+    assert sorted(order) == list(range(1, K + 1))
+    assert v == pytest.approx(_prefix_sum(cfg, sizes, order), rel=1e-12)
+    rates = tuple(rng.uniform(0.0, 0.2, K))
+    res = feasibility(cfg, RateVector(rates))
+    assert sorted(res.worst_perm) == list(range(1, K + 1))
+    assert res.max_lhs == pytest.approx(
+        _prefix_sum(cfg, rates, res.worst_perm), rel=1e-12)
+
+
+def test_lattice_maximum_rejects_wrong_rate_count():
+    for rates in ((0.1,), (0.1, 0.1, 0.1)):
+        with pytest.raises(ValueError, match="one value per user"):
+            feasibility(TOY, RateVector(rates))
+
+
+def _brute_max(cfg, x):
+    """The K! enumeration the lattice maximum replaces."""
+    return max((_prefix_sum(cfg, x, perm), perm)
+               for perm in itertools.permutations(range(1, cfg.K + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_lattice_maximum_equals_permutation_enumeration(K, symmetric, seed):
+    rng = np.random.default_rng(seed)
+    if symmetric:
+        cfg = cfg_of((rng.uniform(0.0, 0.95),) * K,
+                     (rng.uniform(0.0, 1.0),) * K)
+        sizes = tuple(rng.integers(1, 4, K).astype(float))
+        rates = tuple(rng.uniform(0.0, 1.0, K))
+    else:
+        d, p, rates = random_one_sided_fair(K, rng, cached=bool(seed % 2))
+        cfg = cfg_of(d, p)
+        sizes = tuple(rng.uniform(0.1, 3.0, K))
+        if seed % 3 == 0:      # rates that need not be one-sided fair
+            rates = tuple(rng.uniform(0.0, 1.0, K))
+    v, order = ttot_closed_form(cfg, sizes=sizes)
+    want, _ = _brute_max(cfg, sizes)
+    assert v == pytest.approx(want, rel=1e-12)
+    assert _prefix_sum(cfg, sizes, order) == pytest.approx(v, rel=1e-12)
+    res = feasibility(cfg, RateVector(rates))
+    want, _ = _brute_max(cfg, rates)
+    assert res.max_lhs == pytest.approx(want, rel=1e-12)
+    assert _prefix_sum(cfg, rates, res.worst_perm) == pytest.approx(
+        res.max_lhs, rel=1e-12)
+    identity = _prefix_sum(cfg, rates, tuple(range(1, K + 1)))
+    if identity > 0.0:
+        assert permutation_dominance(cfg, RateVector(rates)) == (
+            want / identity <= 1.0 + 1e-12)
 
 
 def test_two_user_region_cached():

@@ -184,3 +184,17 @@ def test_numeric_output_rounded_to_twelve_significant_digits(capsys, two_user):
     doc = json.loads(out)
     # 8/7 = 1.142857142857142857... rounded at the 12th significant digit
     assert doc["ttot_closed_form"] == 1.14285714286
+
+
+def test_flag_a_verb_ignores_is_a_usage_error_exit_1(capsys, two_user):
+    with pytest.raises(SystemExit) as exc:
+        main(["ttot", "--config", two_user, "--output", "csv"])
+    assert exc.value.code == 1
+    assert "--output" in capsys.readouterr().err
+
+
+def test_missing_required_config_is_exit_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ttot"])
+    assert exc.value.code == 1
+    assert "--config" in capsys.readouterr().err

@@ -63,7 +63,7 @@ def test_weights_lemma_telescopes(seed):
     rng = np.random.default_rng(seed)
     K = int(rng.integers(2, 6))
     cfg = cfg_of(rng.uniform(0, 0.95, K), rng.uniform(0, 1, K))
-    p, d = cfg.p, cfg.delta
+    w = analysis._weights(cfg.p, cfg.delta)
     full = (1 << K) - 1
     for Jm in subsets_ascending(K):
         if Jm == full:
@@ -74,15 +74,14 @@ def test_weights_lemma_telescopes(seed):
             inner = sub
             while True:
                 sign = -1.0 if bin(inner).count("1") % 2 else 1.0
-                acc += sign * analysis._weight(p, d, (full & ~sub) | inner)
+                acc += sign * w[(full & ~sub) | inner]
                 if inner == 0:
                     break
                 inner = (inner - 1) & sub
             if sub == 0:
                 break
             sub = (sub - 1) & Jm
-        assert acc == pytest.approx(
-            analysis._weight(p, d, full & ~Jm), abs=1e-12)
+        assert acc == pytest.approx(w[full & ~Jm], abs=1e-12)
 
 
 def test_capacity_decomposition_on_grid():

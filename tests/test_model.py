@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebcache.model import (ConfigError, Demand, RateVector, SystemConfig,
-                           UserSet, config_from_dict, is_one_sided_fair,
+                           config_from_dict, is_one_sided_fair,
                            load_config, mask_of, subsets_ascending, users_of,
                            validate_config, validate_demand)
 
@@ -81,18 +81,10 @@ def test_config_rejects_unknown_and_missing_keys():
                           "file_sizes": [1]})
 
 
-def test_user_set_canonical_order_and_json():
-    s = UserSet.of([3, 1])
-    assert list(s) == [1, 3]
-    assert s.to_json() == [1, 3]
-    assert 3 in s and 2 not in s
-    assert len(s) == 2
-    assert users_of(mask_of([2, 4])) == (2, 4)
-
-
 def test_subsets_ascending_order():
     got = [users_of(m) for m in subsets_ascending(3)]
     assert got == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    assert users_of(mask_of([2, 4])) == (2, 4)
 
 
 def test_one_sided_fair_reference_cases():
