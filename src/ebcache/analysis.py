@@ -531,16 +531,15 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
         F = tuple(rng.uniform(0.1, 3.0, kk))
         cfg = _cfg_from(d, p)
         plan = phase_plan(cfg, sizes=F)
-        # the recursion runs on cfg.p = (p * N) / N, the identities on p
-        w_cfg = _weights(cfg.p, cfg.delta)
-        w = _weights(p, d)
+        # weights of the instance the recursion runs on, cfg.p = (p * N) / N
+        w = _weights(cfg.p, cfg.delta)
         users = _user_tuples(kk)
         full = (1 << kk) - 1
         for Jm in subsets_ascending(kk):
             Ju = users[Jm]
             for k in Ju:
                 bit = 1 << (k - 1)
-                alt = _alternating(w_cfg, (full & ~Jm) | bit, Jm & ~bit) * F[k - 1]
+                alt = _alternating(w, (full & ~Jm) | bit, Jm & ~bit) * F[k - 1]
                 r_alt = max(r_alt, abs(alt - plan.t_user[(Ju, k)]))
                 agg = sum(plan.t_user[(users[Im], k)]
                           for Im in subsets_ascending(kk)

@@ -3,7 +3,8 @@
 Exit status: 0 on success, 1 on configuration/validation and usage
 errors, 2 on decode or identity failures.  All numeric output is rounded
 to 12 significant digits; randomness flows from --seed (default 0, never
-the environment).
+the environment), from which `simulate` derives independent placement
+and delivery seeds.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ FULL_TRACKING_HARD_LIMIT = 300_000
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     demand = _parse_demand(cfg, args.demand)
-    pm = _placement_for(cfg, args.scheme, args.seed)
+    pseed, dseed = experiments.trial_seeds(args.seed)
+    pm = _placement_for(cfg, args.scheme, pseed)
     if args.export_placement:
         if sum(cfg.file_sizes) > PLACEMENT_EXPORT_LIMIT:
             raise ConfigError("placement export refused: instance too large")
@@ -141,7 +143,7 @@ def _cmd_simulate(args) -> int:
             "use --length-only")
     if full:
         trace = [] if args.trace else None
-        res = run_delivery(cfg, pm, demand, seed=args.seed,
+        res = run_delivery(cfg, pm, demand, seed=dseed,
                            start_phase=args.start_phase,
                            cleanup_budget=args.cleanup_budget, trace=trace)
         if args.trace:
@@ -152,9 +154,10 @@ def _cmd_simulate(args) -> int:
     else:
         if args.trace:
             raise ConfigError("--trace requires full tracking")
-        res = run_delivery_lengths(cfg, pm, demand, seed=args.seed,
+        res = run_delivery_lengths(cfg, pm, demand, seed=dseed,
                                    start_phase=args.start_phase)
     doc = res.to_json()
+    doc["seed"] = args.seed
     doc["mode"] = "full" if full else "length"
     doc["slots_per_file_unit"] = res.slots_total / cfg.mean_file_size
     _emit_json(doc)

@@ -20,7 +20,8 @@ dependency order with solved values folded into later right-hand sides;
 pools closed in a cycle are merged into one block.  Rank-deficient
 blocks and everything downstream of them form one residual system, and
 its rare shortfalls from unlucky coefficients are repaired by a feedback
-cleanup round.
+cleanup round, which stacks each row it hears under the residual and
+eliminates again.  `gf256.rref` is the only elimination routine.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf256 import MUL, gf_dot, rref, append_reduced
+from .gf256 import MUL, gf_dot, rref
 from .model import (SUPPORTED_FIELD_ORDERS, Demand, SystemConfig, mask_of,
                     subsets_ascending, users_of)
 from .placement import PlacementMap
@@ -44,7 +45,22 @@ class DeliveryError(Exception):
 
 
 class CleanupBudgetExceeded(DeliveryError):
-    """Decoding stayed rank-deficient after the cleanup slot budget."""
+    """Decoding stayed rank-deficient after the cleanup slot budget;
+    `unresolved` maps the user to the packets it still misses."""
+
+    def __init__(self, message: str, unresolved: dict[int, list[int]]):
+        super().__init__(message)
+        self.unresolved = unresolved
+
+
+def checked_delta(K: int, delta) -> np.ndarray:
+    """δ as an array, or DeliveryError unless it holds K erasure
+    probabilities in [0, 1)."""
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (K,) or not ((delta >= 0.0) & (delta < 1.0)).all():
+        raise DeliveryError("delta must hold K erasure probabilities "
+                            "in [0, 1)")
+    return delta
 
 
 @dataclass
@@ -55,7 +71,6 @@ class SimResult:
     cleanup_slots: int
     realized_transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], int]
     seed: int
-    unresolved: dict[int, list[int]] = field(default_factory=dict)
     recovered: dict[int, np.ndarray] | None = None
 
     def to_json(self) -> dict:
@@ -98,11 +113,7 @@ class _Engine:
         if q not in SUPPORTED_FIELD_ORDERS:
             raise DeliveryError(f"field order {q} unsupported "
                                 f"(choose from {SUPPORTED_FIELD_ORDERS})")
-        self.delta = np.asarray(delta, dtype=float)
-        if self.delta.shape != (K,) or not ((self.delta >= 0.0)
-                                            & (self.delta < 1.0)).all():
-            raise DeliveryError("delta must hold K erasure probabilities "
-                                "in [0, 1)")
+        self.delta = checked_delta(K, delta)
         self.K = K
         self.rng = np.random.default_rng(seed)
         self.q = q
@@ -479,27 +490,19 @@ class _Engine:
                 solved[id_of[c]] = m[rw, n:]
         return solved, [pid for pid in state.need if pid not in solved]
 
-    def recovered_file(self, k: int, file_ids: np.ndarray,
-                       solved: dict[int, np.ndarray]) -> np.ndarray | None:
-        """Reassemble the demanded packets byte-exactly, or None."""
-        out = self.values[file_ids]
-        for i in np.nonzero(~self._known(k - 1)[file_ids])[0].tolist():
-            got = solved.get(int(file_ids[i]))
-            if got is None:
-                return None
-            out[i] = got
-        return out
-
-    def cleanup(self, k: int, state: _Residual,
-                budget: int) -> tuple[int, list[int]]:
+    def cleanup(self, k: int, state: _Residual, budget: int):
         """Feedback retransmission of fresh combinations over the still
-        unresolved packets until user k can finish, within `budget` slots."""
+        unresolved packets until user k can finish, within `budget` slots.
+        Each row the user hears is stacked under the residual matrix,
+        which is eliminated again.
+
+        Returns (slots used, solved {packet id: value row}, unresolved
+        demanded ids).
+        """
         k0 = k - 1
         used = 0
-        _, unresolved = self._extract(state)
-        while unresolved:
-            if used >= budget:
-                return used, unresolved
+        solved, unresolved = self._extract(state)
+        while unresolved and used < budget:
             used += 1
             self.slot += 1
             ids = np.asarray(unresolved, dtype=np.int64)
@@ -512,13 +515,10 @@ class _Engine:
             row = np.zeros(n + self.L, dtype=np.uint8)
             row[[state.col_of[pid] for pid in unresolved]] = coefs
             row[n:] = payload
-            state.m, _ = append_reduced(state.m, state.pivots, row, n)
-            _, unresolved = self._extract(state)
-        return used, []
-
-    def final_solved(self, k: int, state: _Residual) -> dict[int, np.ndarray]:
-        solved, _ = self._extract(state)
-        return solved
+            state.m = np.vstack([state.m, row])
+            state.pivots = rref(state.m, n)
+            solved, unresolved = self._extract(state)
+        return used, solved, unresolved
 
 
 def _fill(rows: list, cols: np.ndarray, loc: np.ndarray, L: int) -> np.ndarray:
@@ -596,7 +596,7 @@ def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = No
     demand = demand or Demand.identity(cfg.K)
     eng = _delivered(cfg, pm, demand, seed, start_phase, payload_len,
                      trace=trace, debug=debug, state_source=state_source)
-    return _finish(cfg, eng, demand, seed, decode, cleanup_budget)
+    return _finish(eng, seed, decode, cleanup_budget)
 
 
 def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
@@ -650,41 +650,37 @@ def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
     for k0 in range(K):
         eng.must_decode[k0] = np.asarray(want[k0], dtype=np.int64)
     eng.run(start_phase=order)
-    cfg = SystemConfig(K=K, N=K, delta=tuple(delta), mem=(0.0,) * K,
-                       file_sizes=(1,) * K, field_order=q)
-    return _finish(cfg, eng, None, seed, decode, cleanup_budget)
+    return _finish(eng, seed, decode, cleanup_budget)
 
 
-def _finish(cfg: SystemConfig, eng: _Engine, demand: Demand | None, seed: int,
-            decode: bool, cleanup_budget: int | None) -> SimResult:
+def _finish(eng: _Engine, seed: int, decode: bool,
+            cleanup_budget: int | None) -> SimResult:
     cleanup_slots = 0
     decode_ok = None
     recovered: dict[int, np.ndarray] | None = None
-    unresolved_all: dict[int, list[int]] = {}
     if decode:
-        budget = (CLEANUP_BUDGET_PER_USER * cfg.K if cleanup_budget is None
+        budget = (CLEANUP_BUDGET_PER_USER * eng.K if cleanup_budget is None
                   else cleanup_budget)
         decode_ok = []
         recovered = {}
-        for k in range(1, cfg.K + 1):
+        for k in range(1, eng.K + 1):
             solved, unresolved, state = eng.decode_user(k)
             if unresolved:
-                used, unresolved = eng.cleanup(k, state, budget - cleanup_slots)
+                used, solved, unresolved = eng.cleanup(
+                    k, state, budget - cleanup_slots)
                 cleanup_slots += used
-                solved = eng.final_solved(k, state)
             if unresolved:
-                unresolved_all[k] = unresolved
-                err = CleanupBudgetExceeded(
+                raise CleanupBudgetExceeded(
                     f"user {k} still missing {len(unresolved)} packets "
-                    f"after {cleanup_slots} cleanup slots")
-                err.unresolved = unresolved_all
-                raise err
-            got = eng.recovered_file(k, eng.must_decode[k - 1], solved)
-            ok = got is not None and np.array_equal(
-                got, eng.values[eng.must_decode[k - 1]])
-            decode_ok.append(bool(ok))
-            if not ok:
+                    f"after {cleanup_slots} cleanup slots", {k: unresolved})
+            # every demanded packet the user lacked is now solved
+            ids = eng.must_decode[k - 1]
+            got = eng.values[ids]
+            for i in np.nonzero(~eng._known(k - 1)[ids])[0].tolist():
+                got[i] = solved[int(ids[i])]
+            if not np.array_equal(got, eng.values[ids]):
                 raise DeliveryError(f"user {k} produced wrong bytes (engine bug)")
+            decode_ok.append(True)
             recovered[k] = got
     return SimResult(
         slots_total=eng.slot,
@@ -693,6 +689,5 @@ def _finish(cfg: SystemConfig, eng: _Engine, demand: Demand | None, seed: int,
         cleanup_slots=cleanup_slots,
         realized_transfers=eng.transfers,
         seed=seed,
-        unresolved=unresolved_all,
         recovered=recovered,
     )

@@ -34,6 +34,16 @@ class MonteCarloResult:
     seed: int
 
 
+def trial_seeds(seed: int | np.random.SeedSequence) -> tuple[int, int]:
+    """Placement and delivery seeds of one trial: two independent words
+    drawn from `seed`, so the caches and the channel never share a
+    stream."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    pseed, dseed = seed.generate_state(2).tolist()
+    return pseed, dseed
+
+
 def _one_trial(args) -> float:
     cfg, demand, scheme, start_phase, pseed, sseed = args
     if scheme == "centralized":
@@ -53,10 +63,8 @@ def monte_carlo(cfg: SystemConfig, demand: Demand | None = None,
     with a 95% confidence half-width.  Demands default to user k
     requesting file k."""
     children = np.random.SeedSequence(seed).spawn(trials)
-    tasks = []
-    for t, child in enumerate(children):
-        pseed, sseed = child.generate_state(2).tolist()
-        tasks.append((cfg, demand, scheme, start_phase, pseed, sseed))
+    tasks = [(cfg, demand, scheme, start_phase, *trial_seeds(child))
+             for child in children]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             values = list(pool.map(_one_trial, tasks))

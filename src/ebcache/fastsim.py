@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .delivery import DeliveryError, SimResult
+from .delivery import SimResult, checked_delta
 from .model import Demand, SystemConfig, subsets_ascending, users_of
 from .placement import PlacementMap
 
@@ -52,10 +52,8 @@ def order_start_needs(K: int, order: int, n_packets: int) -> dict[int, np.ndarra
 def simulate_lengths(K: int, delta, needs: dict[int, np.ndarray], seed: int,
                      start_phase: int = 1) -> SimResult:
     """Slot counts for the whole delivery given initial per-pool needs."""
+    delta = checked_delta(K, delta)
     rng = np.random.default_rng(seed)
-    delta = np.asarray(delta, dtype=float)
-    if (delta >= 1.0).any():
-        raise DeliveryError("delta must be < 1")
     powers = (1 << np.arange(K)).astype(np.int64)
     pending = {m: needs.get(m, np.zeros(K, dtype=np.int64)).copy()
                for m in range(1, 1 << K)}

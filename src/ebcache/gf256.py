@@ -3,7 +3,8 @@
 The field is fixed: reduction polynomial 0x11B, log/antilog tables built
 from the generator 0x03.  Addition is XOR.  All heavy operations go
 through numpy uint8 arrays and a precomputed 256x256 product table, which
-is fast enough for desk-scale decoding.
+is fast enough for desk-scale decoding.  `rref` is the one elimination
+routine: a system that grows by a row is stacked and reduced again.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def rref(matrix: np.ndarray, ncols: int) -> dict[int, int]:
 
     `matrix` is uint8 with shape (rows, ncols + rhs_width); columns past
     `ncols` are treated as the right-hand side.  Returns {pivot column:
-    row index}.
+    row index}.  Raises InconsistentSystemError when a row reduces to
+    0 = nonzero.
     """
     nrows = matrix.shape[0]
     pivots: dict[int, int] = {}
@@ -97,32 +99,6 @@ def rref(matrix: np.ndarray, ncols: int) -> dict[int, int]:
         r += 1
         if r == nrows:
             break
+    if matrix[r:, ncols:].any():
+        raise InconsistentSystemError("contradictory equation")
     return pivots
-
-
-def append_reduced(matrix: np.ndarray, pivots: dict[int, int], row: np.ndarray,
-                   ncols: int) -> tuple[np.ndarray, bool]:
-    """Reduce `row` against an RREF `matrix` and absorb it if independent.
-
-    Returns the (possibly reallocated) matrix and whether rank grew.
-    Raises InconsistentSystemError when the reduced row is 0 = nonzero.
-    """
-    row = row.copy()
-    for c, r in pivots.items():
-        if row[c]:
-            row ^= MUL[row[c], matrix[r]]
-    lead = np.nonzero(row[:ncols])[0]
-    if len(lead) == 0:
-        if row[ncols:].any():
-            raise InconsistentSystemError("contradictory equation")
-        return matrix, False
-    c = int(lead[0])
-    if row[c] != 1:
-        row = MUL[INV[row[c]], row]
-    col = matrix[:, c].copy()
-    upd = np.nonzero(col)[0]
-    if len(upd):
-        matrix[upd] ^= MUL[col[upd][:, None], row[None, :]]
-    matrix = np.vstack([matrix, row])
-    pivots[c] = matrix.shape[0] - 1
-    return matrix, True

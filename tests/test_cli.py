@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from ebcache.cli import main
+from ebcache.delivery import run_delivery
+from ebcache.experiments import trial_seeds
+from ebcache.model import load_config
+from ebcache.placement import decentralized_placement
 
 TWO_USER = {"K": 2, "N": 2, "delta": [0.25, 0.5], "mem": [2 / 3, 4 / 3],
         "file_sizes": [1, 1]}
@@ -83,6 +88,21 @@ def test_simulate_full_with_trace_and_export(capsys, tmp_path, two_user):
     pm_doc = json.loads(export.read_text())
     assert pm_doc["scheme"] == "decentralized"
     assert len(pm_doc["files"][0]) == 200
+
+
+def test_simulate_derives_placement_and_delivery_seeds(capsys, sym3):
+    code, out = run(capsys, ["simulate", "--config", sym3, "--F", "60",
+                             "--seed", "5"])
+    assert code == 0
+    doc = json.loads(out)
+    pseed, dseed = trial_seeds(5)
+    assert pseed != dseed
+    cfg = replace(load_config(sym3), file_sizes=(60,) * 3)
+    res = run_delivery(cfg, decentralized_placement(cfg, pseed), seed=dseed)
+    assert doc["slots_total"] == res.slots_total
+    assert doc["slots_per_subphase"] == res.to_json()["slots_per_subphase"]
+    assert doc["cleanup_slots"] == res.cleanup_slots
+    assert doc["seed"] == 5
 
 
 def test_simulate_length_only(capsys, sym3):

@@ -147,6 +147,21 @@ def test_order_start_rejects_certain_erasure_up_front():
         run_order_start(3, (0.2, 1.5, 0.2), 2, 5, decode=True)
 
 
+@pytest.mark.parametrize("delta", [(-0.5, 0.2, 0.2), (0.2, 0.2),
+                                   (0.2, 1.0, 0.2)])
+@pytest.mark.parametrize("engine", ["full", "length"])
+def test_both_simulators_reject_bad_delta_before_any_slot(engine, delta):
+    cfg = SystemConfig(K=3, N=3, delta=delta, mem=(0.0,) * 3,
+                       file_sizes=(5,) * 3)
+    pm = decentralized_placement(cfg, 0)
+    with pytest.raises(DeliveryError, match="delta"):
+        if engine == "full":
+            # a slot would read the empty channel and stop the iteration
+            run_delivery(cfg, pm, seed=0, state_source=iter(()))
+        else:
+            run_delivery_lengths(cfg, pm, seed=0)
+
+
 def test_promotions_only_enlarge_the_target_set():
     cfg = cfg_of((0.4,) * 3, (0.4,) * 3, 200)
     pm = decentralized_placement(cfg, 3)

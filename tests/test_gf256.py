@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcache.gf256 import (MUL, InconsistentSystemError, append_reduced,
-                           gf_dot, gf_inv, gf_mul, rref)
+from ebcache.gf256 import (MUL, InconsistentSystemError, gf_dot, gf_inv,
+                           gf_mul, rref)
 
 
 def slow_mul(a, b):
@@ -98,11 +98,10 @@ def test_rref_underdetermined_leaves_unresolved():
     assert determined(m, pivots, 2) == {}
 
 
-def test_append_reduced_contradictory_row_raises():
-    m = system([((1,), 1)], 1)
-    pivots = rref(m, 1)
+def test_rref_contradictory_stack_raises():
+    m = system([((1, 0), 1), ((0, 1), 3), ((1, 1), 0xFF)], 2)
     with pytest.raises(InconsistentSystemError):
-        append_reduced(m, pivots, np.array([1, 2], np.uint8), 1)
+        rref(m, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,13 +116,25 @@ def test_rref_round_trips_random_full_systems(n, seed):
     assert determined(m, rref(m, n), n) == dict(enumerate(truth.tolist()))
 
 
-def test_append_reduced_grows_rank_and_flags_conflict():
-    m = np.zeros((1, 3), dtype=np.uint8)
-    m[0] = [1, 0, 5]
-    pivots = rref(m, 2)
-    m2, grew = append_reduced(m, pivots, np.array([1, 0, 5], np.uint8), 2)
-    assert not grew
-    m3, grew = append_reduced(m2, pivots, np.array([0, 2, 8], np.uint8), 2)
-    assert grew and m3.shape[0] == 2
-    with pytest.raises(InconsistentSystemError):
-        append_reduced(m3, pivots, np.array([1, 2, 0xFF], np.uint8), 2)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 10), st.integers(1, 3),
+       st.integers(0, 10_000))
+def test_rref_of_reduced_plus_one_row_determines_the_raw_stack(n, rows, width,
+                                                               seed):
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, 256, (n, width), dtype=np.uint8)
+    # sparse coefficients leave many systems rank-deficient
+    coefs = rng.integers(0, 256, (rows + 1, n), dtype=np.uint8)
+    coefs[rng.random(coefs.shape) < 0.6] = 0
+    rhs = np.array([gf_dot(c, truth) for c in coefs], dtype=np.uint8)
+    raw = np.concatenate([coefs, rhs], axis=1)
+    reduced = raw[:rows].copy()
+    rref(reduced, n)
+
+    def fixed(m):
+        return {c: m[r, n:].tolist() for c, r in rref(m, n).items()
+                if np.count_nonzero(m[r, :n]) == 1}
+
+    got = fixed(np.vstack([reduced, raw[rows]]))
+    assert got == fixed(raw.copy())
+    assert all(v == truth[c].tolist() for c, v in got.items())
