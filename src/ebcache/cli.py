@@ -117,9 +117,10 @@ def _placement_for(cfg, scheme, seed):
 
 # packets; above this, length-only.  bench/baselines.py timed full
 # tracking with decoding at K=3, p=0.5, delta=0.3 (2-vCPU x86-64 host,
-# Python 3.11, numpy 2.4): 3k, 6k and 12k packets in 0.29, 1.06 and
-# 6.3 s.  Each doubling cost 3.6x, then 5.9x more, so 60k packets would
-# take minutes; 12k is the largest size measured to finish in seconds.
+# Python 3.11, numpy 2.4, medians of three runs): 3k, 6k and 12k packets
+# in 0.18, 0.56 and 3.1 s.  Each doubling cost 3.1x, then 5.6x more, so
+# 60k packets would take minutes; 12k is the largest size measured to
+# finish in seconds.
 FULL_TRACKING_AUTO_LIMIT = 12_000
 FULL_TRACKING_HARD_LIMIT = 300_000
 

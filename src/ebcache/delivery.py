@@ -17,11 +17,17 @@ Decoding eliminates each user's banked equations pool by pool.  A pool
 only ever combines atoms (packets and promoted combinations) seeded into
 it, so the equations fall into one block per pool, eliminated in
 dependency order with solved values folded into later right-hand sides;
-pools closed in a cycle are merged into one block.  Rank-deficient
-blocks and everything downstream of them form one residual system, and
-its rare shortfalls from unlucky coefficients are repaired by a feedback
-cleanup round, which stacks each row it hears under the residual and
-eliminates again.  `gf256.rref` is the only elimination routine.
+pools closed in a cycle are merged into one block.  A user's rows are
+built in one CSR layout (row node, columns, coefficients, right-hand
+side) by a few vectorized passes, and each block is filled with one
+scatter.  Blocks go through `gf256.rref`'s block mode: forward
+elimination of a square subset of the rows, back-substitution of the
+right-hand side, and a check of every other row by substitution.
+Rank-deficient blocks and everything downstream of them form one
+residual system, fully reduced, and its rare shortfalls from unlucky
+coefficients are repaired by a feedback cleanup round, which stacks each
+row it hears under the residual and reduces again.  `gf256.rref` is the
+only elimination routine.
 """
 
 from __future__ import annotations
@@ -32,12 +38,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf256 import MUL, gf_dot, rref
+from .gf256 import MUL, InconsistentSystemError, gf_dot, gf_fold, rref
 from .model import (SUPPORTED_FIELD_ORDERS, Demand, SystemConfig, mask_of,
                     subsets_ascending, users_of)
 from .placement import PlacementMap
 
 CLEANUP_BUDGET_PER_USER = 64
+ROW_CHUNK = 32          # rows per pass when a user's rows are built
+_NO_I64 = np.empty(0, dtype=np.int64)
+_NO_I32 = np.empty(0, dtype=np.int32)
+_NO_U8 = np.empty(0, dtype=np.uint8)
+_ONE = np.ones(1, dtype=np.uint8)
 
 
 class DeliveryError(Exception):
@@ -70,7 +81,6 @@ class SimResult:
     decode_ok: list[bool] | None
     cleanup_slots: int
     realized_transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], int]
-    seed: int
     recovered: dict[int, np.ndarray] | None = None
 
     def to_json(self) -> dict:
@@ -81,7 +91,6 @@ class SimResult:
                                    for J, n in self.slots_per_subphase.items()},
             "decode_ok": self.decode_ok,
             "cleanup_slots": self.cleanup_slots,
-            "seed": self.seed,
         }
 
 
@@ -89,6 +98,19 @@ class SimResult:
 class _Pool:
     atoms: list[int] = field(default_factory=list)
     needed: list[int] = field(default_factory=list)      # user bitmask
+
+
+@dataclass
+class _Rows:
+    """One user's equations in CSR layout: the node of each row, entry
+    offsets per row, each entry's column and coefficient, and one
+    right-hand side per row."""
+
+    node: np.ndarray
+    ptr: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    rhs: np.ndarray
 
 
 @dataclass
@@ -331,9 +353,8 @@ class _Engine:
         return known
 
     def _user_system(self, k0: int, known: np.ndarray):
-        """User k0 + 1's equations, grouped by the node of the dependency
-        graph they belong to: {node: [(columns, coefficients, rhs)]},
-        with the atom and the node of every column.
+        """User k0 + 1's equations as CSR rows (`_Rows`), with the atom and
+        the node of the dependency graph of every column.
 
         A pool's node holds the combinations the user heard there and
         the definitions of those promoted out of it that the user needs;
@@ -341,9 +362,16 @@ class _Engine:
         atom, a promoted combination the user neither heard nor needs,
         is a node of its own, holding its definition and its column.
         Pool nodes are pool masks, case-B nodes `full + 1 + column`.
+
+        Rows are sorted by node, a pool node's rows in the order they
+        were sent, so the rows the user heard after it stopped needing
+        anything there come last.  The passes are vectorized: gather the
+        combinations, fold the known atoms into the right-hand sides,
+        give fresh case-B atoms columns, and repeat on their definitions,
+        wave by wave, until no fresh atom is met.
         """
         bit = 1 << k0
-        vals, L = self.vals, self.L
+        L = self.L
         # the pool where the user needs each atom; a raw packet promoted
         # out of {k} keeps its id, so the larger pool is the one that counts
         home = np.zeros(self.next_atom, dtype=np.int64)
@@ -355,56 +383,70 @@ class _Engine:
         home[known] = 0
         needed = np.nonzero(home)[0]
         needed = needed[np.argsort(home[needed], kind="stable")]
-        col = np.full(self.next_atom, -1, dtype=np.int64)
+        col = np.full(self.next_atom, -1, dtype=np.int32)
         col[needed] = np.arange(len(needed))
-        case_b: list[int] = []          # further columns, in column order
-        rows: dict[int, list] = {}
+        ncols = len(needed)
 
-        def split(ids, cs, rhs, own=None):
-            """Row `combination (+ own atom) = rhs` with its known atoms
-            folded into the right-hand side: (columns, coefficients,
-            rhs), or None when nothing unknown is left."""
-            live = cs != 0
-            kn = known[ids]
-            unknown = live & ~kn
-            if own is None and not unknown.any():
-                return None
-            kn &= live
-            if kn.any():
-                rhs = rhs ^ gf_dot(cs[kn], vals[ids[kn]])
-            ids, cs = ids[unknown], cs[unknown]
-            c = col[ids]
-            fresh = c < 0
-            if fresh.any():
-                new = np.unique(ids[fresh])
-                base = len(needed) + len(case_b)
-                col[new] = np.arange(base, base + len(new))
-                case_b.extend(new.tolist())
-                c = col[ids]
-            if own is not None:
-                c, cs = np.append(c, col[own]), np.append(cs, np.uint8(1))
-            return c, cs, rhs
-
-        for atom in self.member_rows[k0]:
-            src, ids, cs = self.combos[atom]
-            row = split(ids, cs, vals[atom])
-            if row is not None:
-                rows.setdefault(src, []).append(row)
-        # definitions read `atom + combination = 0`
-        zero = np.zeros(L, dtype=np.uint8)
-        for atom in needed[needed >= self.npackets].tolist():
-            src, ids, cs = self.combos[atom]
-            rows.setdefault(src, []).append(split(ids, cs, zero, atom))
-        i = 0
-        while i < len(case_b):          # a definition may meet more of them
-            _, ids, cs = self.combos[case_b[i]]
-            rows[self.full + 1 + len(needed) + i] = [
-                split(ids, cs, zero, case_b[i])]
-            i += 1
-        atom_of = np.concatenate([needed, np.asarray(case_b, dtype=np.int64)])
+        # wave 0: the combinations heard in the user's pools, whose value
+        # is the right-hand side, and the definitions `atom + combination
+        # = 0` of the combinations it needs, by node and then by atom
+        member = np.asarray(self.member_rows[k0], dtype=np.int64)
+        atoms = np.concatenate([member, needed[needed >= self.npackets]])
+        combos = [self.combos[a] for a in atoms.tolist()]
+        src = np.fromiter((cb[0] for cb in combos), np.int64, len(combos))
+        order = np.lexsort((atoms, src))
+        combos = [combos[i] for i in order.tolist()]
+        atoms, node = atoms[order], src[order]
+        defines = col[atoms] >= 0
+        rhs = np.zeros((len(atoms), L), dtype=np.uint8)
+        rhs[~defines] = self.vals[atoms[~defines]]
+        nodes, rhss = [], []
+        counts = [_NO_I64]                      # entries per row
+        ents = [(_NO_I32, _NO_U8)]              # (column, coefficient)
+        while True:
+            nodes.append(node)
+            rhss.append(rhs)
+            # a definition's own atom closes its row, with coefficient 1
+            parts = [(np.append(cb[1], a), np.append(cb[2], _ONE)) if d
+                     else cb[1:] for cb, a, d in
+                     zip(combos, atoms.tolist(), defines.tolist())]
+            lens = np.fromiter((len(p[1]) for p in parts), np.int64,
+                               len(parts))
+            fresh = [_NO_I64]
+            # a chunk of rows at a time bounds the temporaries
+            for lo in range(0, len(parts), ROW_CHUNK):
+                hi = min(lo + ROW_CHUNK, len(parts))
+                ids = np.concatenate([p[0] for p in parts[lo:hi]])
+                cs = np.concatenate([p[1] for p in parts[lo:hi]])
+                row = np.repeat(np.arange(hi - lo), lens[lo:hi])
+                kn = known[ids]
+                gf_fold(rhs[lo:hi], row[kn], cs[kn], self.vals, ids[kn])
+                kn |= cs == 0
+                keep = (~kn).nonzero()[0]
+                ids, cs, row = ids[keep], cs[keep], row[keep]
+                new = np.unique(ids[col[ids] < 0])
+                col[new] = np.arange(ncols, ncols + len(new))
+                ncols += len(new)
+                fresh.append(new)
+                ents.append((col[ids], cs))
+                counts.append(np.bincount(row, minlength=hi - lo))
+            atoms = np.concatenate(fresh)
+            if not len(atoms):
+                break
+            # next wave: the definitions of the fresh case-B atoms
+            combos = [self.combos[a] for a in atoms.tolist()]
+            defines = np.ones(len(atoms), dtype=bool)
+            node = self.full + 1 + col[atoms].astype(np.int64)
+            rhs = np.zeros((len(atoms), L), dtype=np.uint8)
+        node = np.concatenate(nodes)
+        c, cs = (np.concatenate(x) for x in zip(*ents))
+        ptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        atom_of = np.empty(ncols, dtype=np.int64)
+        atom_of[col[col >= 0]] = np.nonzero(col >= 0)[0]
         node_of = np.concatenate([home[needed], self.full + 1
-                                  + np.arange(len(needed), len(atom_of))])
-        return rows, atom_of, node_of
+                                  + np.arange(len(needed), ncols)])
+        return (_Rows(node, ptr, c, cs, np.concatenate(rhss)),
+                atom_of, node_of)
 
     def decode_user(self, k: int):
         """Solve user k's banked equations block by block.
@@ -413,8 +455,13 @@ class _Engine:
         into blocks, one per node of `_user_system`.  Blocks are
         eliminated in dependency order, nodes closed in a cycle merged
         into one block, and solved values are folded into the right-hand
-        sides of later blocks.  A rank-deficient block and every block
-        downstream of it go into one residual system.
+        sides of later blocks by segment XOR; a row left with no unknown
+        must read 0 = 0.  Each block is filled with one scatter and
+        eliminated in `rref`'s block mode, the first rows of each node
+        leading, so that the rows heard after a user stopped needing
+        anything there are, as a rule, only checked by substitution.
+        A rank-deficient block and every block downstream of it go into
+        one residual system, fully reduced.
 
         Returns (solved {packet id: value row}, unresolved demanded ids,
         the residual state for cleanup continuation).
@@ -424,41 +471,57 @@ class _Engine:
         known = self._known(k0)
         rows, atom_of, node_of = self._user_system(k0, known)
         ncols = len(atom_of)
-        nodes, starts, counts = np.unique(node_of, return_index=True,
-                                          return_counts=True)
-        span = {v: np.arange(s, s + n) for v, s, n in
-                zip(nodes.tolist(), starts.tolist(), counts.tolist())}
-        deps = {v: set(np.unique(node_of[np.concatenate([r[0] for r in rs])])
-                       .tolist()) for v, rs in rows.items()}
-        for v in span:
-            deps.setdefault(v, set())
+        # rows and columns are both sorted by node
+        nodes = np.unique(np.concatenate([rows.node, node_of]))
+        cnode = np.searchsorted(nodes, node_of).astype(np.int32)
+        col_lo = np.searchsorted(node_of, nodes).tolist()
+        col_hi = np.searchsorted(node_of, nodes, side="right").tolist()
+        row_lo = np.searchsorted(rows.node, nodes).tolist()
+        row_hi = np.searchsorted(rows.node, nodes, side="right").tolist()
+        index = {v: i for i, v in enumerate(nodes.tolist())}
+        # node -> the nodes its rows reach
+        deps: dict[int, set[int]] = {}
+        for v, i in index.items():
+            reach = np.bincount(cnode[rows.col[rows.ptr[row_lo[i]]:
+                                               rows.ptr[row_hi[i]]]],
+                                minlength=len(nodes))
+            deps[v] = set(nodes[reach.nonzero()[0]].tolist())
 
         status = np.zeros(ncols, dtype=np.int8)   # 1 solved, 2 residual
         sol = np.zeros((ncols, L), dtype=np.uint8)
-        loc = np.empty(ncols, dtype=np.int64)
-        no_cols = np.empty(0, dtype=np.int64)    # a node with rows only
+        loc = np.empty(ncols, dtype=np.int32)
         residual: list = []
         merged = 0
         for block in _components(deps):
             merged += len(block) > 1
-            bcols = np.concatenate([span.get(v, no_cols) for v in block])
-            brows, stuck = [], False
-            for v in block:
-                for c, cs, rhs in rows.get(v, ()):
-                    st = status[c]
-                    done = st == 1
-                    if done.any():
-                        rhs = rhs ^ gf_dot(cs[done], sol[c[done]])
-                        c, cs, st = c[~done], cs[~done], st[~done]
-                    if len(c):
-                        stuck = stuck or bool((st == 2).any())
-                        brows.append((c, cs, rhs))
+            idx = [index[v] for v in block]
+            bcols = np.concatenate([np.arange(col_lo[i], col_hi[i])
+                                    for i in idx])
             n = len(bcols)
-            if not stuck:
+            # each node's first rows, as many as its columns, then the rest
+            lead, rest = [], []
+            for i in idx:
+                cut = min(row_hi[i], row_lo[i] + col_hi[i] - col_lo[i])
+                lead.append((row_lo[i], cut))
+                rest.append((cut, row_hi[i]))
+            pos, c, cs, rhs = _gather(rows, lead + rest)
+            st = status[c]
+            done = st == 1
+            if done.any():
+                gf_fold(rhs, pos[done], cs[done], sol, c[done])
+                live = ~done
+                pos, c, cs, st = pos[live], c[live], cs[live], st[live]
+            has = np.zeros(len(rhs), dtype=bool)
+            has[pos] = True
+            if rhs[~has].any():
+                raise InconsistentSystemError("contradictory equation")
+            pos = np.cumsum(has, dtype=np.int32)[pos] - 1
+            rhs = rhs[has]
+            if not (st == 2).any():
                 if n == 0:
                     continue
-                m = _fill(brows, bcols, loc, L)
-                pivots = rref(m, n)
+                m = _fill(pos, c, cs, rhs, bcols, loc)
+                pivots = rref(m, n, reduce=False)
                 if len(pivots) == n:
                     pc = np.fromiter(pivots.keys(), np.int64, n)
                     pr = np.fromiter(pivots.values(), np.int64, n)
@@ -466,10 +529,11 @@ class _Engine:
                     status[bcols] = 1
                     continue
             status[bcols] = 2
-            residual += brows
+            # every column these rows still hold is now a residual one
+            residual.append((pos, c, cs, rhs))
 
         rcols = np.nonzero(status == 2)[0]
-        m = _fill(residual, rcols, loc, L)
+        m = _fill(*_stack(residual, L), rcols, loc)
         pivots = rref(m, len(rcols)) if len(rcols) else {}
         done = np.nonzero((status == 1) & (atom_of < self.npackets))[0]
         md = self.must_decode[k0]
@@ -521,15 +585,38 @@ class _Engine:
         return used, solved, unresolved
 
 
-def _fill(rows: list, cols: np.ndarray, loc: np.ndarray, L: int) -> np.ndarray:
-    """Dense (rows, len(cols) + L) matrix of `rows` over `cols`; `loc` is
+def _gather(rows: _Rows, ranges: list[tuple[int, int]]):
+    """The entries of the row ranges, in order, as `_stack` gives them."""
+    return _stack([(np.repeat(np.arange(b - a, dtype=np.int32),
+                              np.diff(rows.ptr[a:b + 1])),
+                    rows.col[rows.ptr[a]:rows.ptr[b]],
+                    rows.coef[rows.ptr[a]:rows.ptr[b]], rows.rhs[a:b])
+                   for a, b in ranges], rows.rhs.shape[1])
+
+
+def _stack(parts: list, L: int):
+    """Groups of rows (entry rows, columns, coefficients, right-hand
+    sides) as one, rows numbered on in order: each entry's row, column
+    and coefficient, and the right-hand sides."""
+    off = np.cumsum([0] + [len(p[3]) for p in parts]).tolist()
+    return (np.concatenate([_NO_I32] + [p[0] + o
+                                        for p, o in zip(parts, off)]),
+            np.concatenate([_NO_I32] + [p[1] for p in parts]),
+            np.concatenate([_NO_U8] + [p[2] for p in parts]),
+            np.concatenate([np.empty((0, L), np.uint8)]
+                           + [p[3] for p in parts]))
+
+
+def _fill(pos: np.ndarray, c: np.ndarray, cs: np.ndarray, rhs: np.ndarray,
+          cols: np.ndarray, loc: np.ndarray) -> np.ndarray:
+    """Dense (len(rhs), len(cols) + L) matrix over `cols` with coefficient
+    cs[i] at row pos[i], column c[i], filled by one scatter; `loc` is
     scratch indexed by global column."""
     n = len(cols)
     loc[cols] = np.arange(n)
-    m = np.zeros((len(rows), n + L), dtype=np.uint8)
-    for i, (c, cs, rhs) in enumerate(rows):
-        m[i, loc[c]] = cs
-        m[i, n:] = rhs
+    m = np.zeros((len(rhs), n + rhs.shape[1]), dtype=np.uint8)
+    m[pos, loc[c]] = cs
+    m[:, n:] = rhs
     return m
 
 
@@ -596,7 +683,7 @@ def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = No
     demand = demand or Demand.identity(cfg.K)
     eng = _delivered(cfg, pm, demand, seed, start_phase, payload_len,
                      trace=trace, debug=debug, state_source=state_source)
-    return _finish(eng, seed, decode, cleanup_budget)
+    return _finish(eng, decode, cleanup_budget)
 
 
 def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
@@ -650,10 +737,10 @@ def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
     for k0 in range(K):
         eng.must_decode[k0] = np.asarray(want[k0], dtype=np.int64)
     eng.run(start_phase=order)
-    return _finish(eng, seed, decode, cleanup_budget)
+    return _finish(eng, decode, cleanup_budget)
 
 
-def _finish(eng: _Engine, seed: int, decode: bool,
+def _finish(eng: _Engine, decode: bool,
             cleanup_budget: int | None) -> SimResult:
     cleanup_slots = 0
     decode_ok = None
@@ -688,6 +775,5 @@ def _finish(eng: _Engine, seed: int, decode: bool,
         decode_ok=decode_ok,
         cleanup_slots=cleanup_slots,
         realized_transfers=eng.transfers,
-        seed=seed,
         recovered=recovered,
     )

@@ -112,7 +112,6 @@ def simulate_lengths(K: int, delta, needs: dict[int, np.ndarray], seed: int,
         decode_ok=None,
         cleanup_slots=0,
         realized_transfers=transfers,
-        seed=seed,
     )
 
 

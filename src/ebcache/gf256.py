@@ -3,8 +3,18 @@
 The field is fixed: reduction polynomial 0x11B, log/antilog tables built
 from the generator 0x03.  Addition is XOR.  All heavy operations go
 through numpy uint8 arrays and a precomputed 256x256 product table, which
-is fast enough for desk-scale decoding.  `rref` is the one elimination
-routine: a system that grows by a row is stacked and reduced again.
+is fast enough for desk-scale decoding.
+
+`rref` is the one elimination routine, with two modes.  Full reduction
+clears every pivot column above and below its pivot; a system that grows
+by a row is stacked and reduced again.  Block mode clears only below each
+pivot, back-substitutes the right-hand side alone, eliminates a square
+subset of the rows and checks the rest by substitution.  Row updates
+are row gathers: the 256-byte rows of MUL for the coefficients, indexed
+by the pivot row (`MUL[coefs][:, pivot_row]`), over a plain slice of the
+rows when every coefficient is nonzero and over the nonzero rows
+otherwise.  `gf_fold` accumulates products into the rows of a
+right-hand side by segment XOR, in bounded chunks.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ MUL = np.zeros((256, 256), dtype=np.uint8)
 _nz = np.arange(1, 256)
 MUL[1:, 1:] = EXP[(LOG[_nz][:, None] + LOG[_nz][None, :]) % 255]
 
+_FLAT = MUL.ravel()     # MUL[a, b] at (a << 8) | b
+
 INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[255 - LOG[_nz]]
 
@@ -60,7 +72,32 @@ def gf_dot(coefs: np.ndarray, values: np.ndarray) -> np.ndarray:
     # one lookup per product in the flat table, at (coef << 8) | value;
     # 16-bit indices keep the temporary small for wide payloads
     idx = (coefs.astype(np.uint16) << 8)[:, None] | values
-    return np.bitwise_xor.reduce(MUL.ravel()[idx], axis=0)
+    return np.bitwise_xor.reduce(_FLAT.take(idx), axis=0)
+
+
+# products per pass of gf_fold, which bounds its temporaries for wide payloads
+FOLD_CHUNK = 1 << 16
+
+
+def gf_fold(out: np.ndarray, rows: np.ndarray, coefs: np.ndarray,
+            table: np.ndarray, ids: np.ndarray) -> None:
+    """out[rows[i]] ^= coefs[i] * table[ids[i]] for every i, in place.
+
+    `out` and `table` are (n, L) uint8 and `rows` is ascending, so the
+    products of one row form a segment, XOR-reduced in one pass over
+    words as wide as L allows.  Products use gf_dot's flat-table lookup,
+    at most FOLD_CHUNK bytes at a time.
+    """
+    L = table.shape[1]
+    word = np.dtype(f"u{min(8, L & -L)}")
+    step = max(1, FOLD_CHUNK // L)
+    for s in range(0, len(rows), step):
+        r = rows[s:s + step]
+        idx = ((coefs[s:s + step].astype(np.uint16) << 8)[:, None]
+               | table[ids[s:s + step]])
+        head = np.flatnonzero(np.diff(r, prepend=-1))
+        out[r[head]] ^= np.bitwise_xor.reduceat(
+            _FLAT.take(idx).view(word), head, axis=0).view(np.uint8)
 
 
 class InconsistentSystemError(Exception):
@@ -68,37 +105,88 @@ class InconsistentSystemError(Exception):
     values can never conflict, so this indicates a simulator bug."""
 
 
-def rref(matrix: np.ndarray, ncols: int) -> dict[int, int]:
-    """In-place reduced row echelon form over GF(2^8).
+def _axpy(dst: np.ndarray, coefs: np.ndarray, row: np.ndarray) -> None:
+    """dst[i] ^= coefs[i] * row for every i, in place.
+
+    A row gather: the MUL rows of the coefficients indexed by `row`, or,
+    for a row much shorter than the column, the MUL columns of `row`
+    indexed by the coefficients.  All rows go through one slice when
+    every coefficient is nonzero; otherwise only the rows with one are
+    touched, and coefficients that are all 1 (every GF(2) system) need no
+    products at all.
+    """
+    nz = np.count_nonzero(coefs)
+    if nz == 0:
+        return
+    if nz == len(coefs):
+        hit, cs = slice(None), coefs
+    else:
+        hit = coefs.nonzero()[0]
+        cs = coefs[hit]
+        if cs.max() == 1:
+            dst[hit] ^= row
+            return
+    dst[hit] ^= (MUL[:, row][cs] if 8 * len(row) < len(cs)
+                 else MUL[cs][:, row])
+
+
+def rref(matrix: np.ndarray, ncols: int, reduce: bool = True) -> dict[int, int]:
+    """Gaussian elimination over GF(2^8), in place.
 
     `matrix` is uint8 with shape (rows, ncols + rhs_width); columns past
-    `ncols` are treated as the right-hand side.  Returns {pivot column:
-    row index}.  Raises InconsistentSystemError when a row reduces to
-    0 = nonzero.
+    `ncols` are the right-hand side.  Returns {pivot column: row index},
+    each pivot scaled to 1.  In either mode row pivots[c] of the
+    right-hand side then holds unknown c of the solution whose free
+    unknowns are zero, and InconsistentSystemError is raised when any row
+    reads 0 = nonzero.
+
+    `reduce` selects reduced row echelon form: every pivot column cleared
+    above and below its pivot, which tells which unknowns a rank-deficient
+    system fixes.  Without it (block mode) each pivot column is cleared
+    below the pivot only and the right-hand side is back-substituted.  The
+    square subset of the first `ncols` rows is eliminated first; the
+    other rows join, reduced by every pivot so far, only when a column
+    finds no pivot among them.  When the subset has full rank, each other
+    row is checked by substituting the solution.
     """
     nrows = matrix.shape[0]
     pivots: dict[int, int] = {}
+    top = nrows if reduce else min(nrows, ncols)     # rows in elimination
     r = 0
     for c in range(ncols):
-        hits = np.nonzero(matrix[r:, c])[0]
-        if len(hits) == 0:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            matrix[[r, pr]] = matrix[[pr, r]]
-        if matrix[r, c] != 1:
-            matrix[r] = MUL[INV[matrix[r, c]], matrix[r]]
-        col = matrix[:, c].copy()
-        col[r] = 0
-        upd = np.nonzero(col)[0]
-        if len(upd):
-            # columns left of c are already zero in the pivot row
-            idx = (col[upd].astype(np.uint16) << 8)[:, None] | matrix[r, c:]
-            matrix[upd, c:] ^= MUL.ravel()[idx]
-        pivots[c] = r
-        r += 1
         if r == nrows:
             break
-    if matrix[r:, ncols:].any():
+        if matrix[r, c] == 0:
+            hits = matrix[r:top, c].nonzero()[0]
+            if len(hits) == 0 and top < nrows:
+                for pc, pr in pivots.items():
+                    _axpy(matrix[top:, pc:], matrix[top:, pc], matrix[pr, pc:])
+                top = nrows
+                hits = matrix[r:, c].nonzero()[0]
+            if len(hits) == 0:
+                continue
+            pr = r + int(hits[0])
+            matrix[[r, pr]] = matrix[[pr, r]]
+        if matrix[r, c] != 1:
+            matrix[r, c:] = MUL[INV[matrix[r, c]], matrix[r, c:]]
+        # columns left of c are already zero in the pivot row
+        prow = matrix[r, c:]
+        _axpy(matrix[r + 1:top, c:], matrix[r + 1:top, c], prow)
+        if reduce:
+            _axpy(matrix[:r, c:], matrix[:r, c], prow)
+        pivots[c] = r
+        r += 1
+    if matrix[r:top, ncols:].any():
         raise InconsistentSystemError("contradictory equation")
+    if not reduce:
+        rhs = matrix[:, ncols:]
+        for c, pr in reversed(pivots.items()):
+            _axpy(rhs[:pr], matrix[:pr, c], rhs[pr])
+        if top < nrows:
+            # full rank, so pivots[c] == c: substitute into the other rows
+            check = rhs[top:].copy()
+            for c in range(ncols):
+                _axpy(check, matrix[top:, c], rhs[c])
+            if check.any():
+                raise InconsistentSystemError("contradictory equation")
     return pivots

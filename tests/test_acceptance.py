@@ -168,7 +168,8 @@ def test_criterion_5_end_to_end_decodability():
         trials_per[c] += 1
     assert sum(trials_per.values()) == 100
 
-    # trial seeds come from one integer, never from salted hash()
+    # trial seeds come from one integer, never from salted hash(); each
+    # trial derives its placement and delivery seeds from its own
     seeds = iter(np.random.SeedSequence(5).generate_state(100).tolist())
     total_slots = total_cleanup = n_trials = 0
     for (K, scheme, dcase) in combos:
@@ -179,10 +180,10 @@ def test_criterion_5_end_to_end_decodability():
         else:
             cfg = cfg_of(delta, (0.5,) * K, F=1000)
         for t in range(trials_per[(K, scheme, dcase)]):
-            seed = next(seeds)
+            pseed, dseed = experiments.trial_seeds(next(seeds))
             pm = (centralized_placement(cfg) if scheme == "centralized"
-                  else decentralized_placement(cfg, seed))
-            res = run_delivery(cfg, pm, seed=seed)
+                  else decentralized_placement(cfg, pseed))
+            res = run_delivery(cfg, pm, seed=dseed)
             assert res.decode_ok == [True] * K
             total_slots += res.slots_total
             total_cleanup += res.cleanup_slots

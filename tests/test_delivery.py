@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ebcache import analysis
 from ebcache.delivery import (CleanupBudgetExceeded, DeliveryError,
                               _delivered, run_delivery, run_order_start)
-from ebcache.gf256 import MUL, rref
+from ebcache.experiments import trial_seeds
+from ebcache.gf256 import MUL, InconsistentSystemError, rref
 from ebcache.fastsim import (initial_needs, order_start_needs,
                              run_delivery_lengths, simulate_lengths)
 from ebcache.model import Demand, SystemConfig
@@ -120,8 +121,9 @@ def test_typical_runs_need_no_cleanup():
     cfg = cfg_of((0.3,) * 2, (0.5,) * 2, 300)
     total = cleanup = 0
     for seed in range(12):
-        pm = decentralized_placement(cfg, seed)
-        res = run_delivery(cfg, pm, seed=seed)
+        pseed, dseed = trial_seeds(seed)
+        pm = decentralized_placement(cfg, pseed)
+        res = run_delivery(cfg, pm, seed=dseed)
         total += res.slots_total
         cleanup += res.cleanup_slots
     assert cleanup / total < 1e-2
@@ -188,7 +190,7 @@ def test_sim_result_json_keys():
     pm = decentralized_placement(cfg, 0)
     doc = run_delivery(cfg, pm, seed=0).to_json()
     assert set(doc) == {"slots_total", "slots_per_subphase", "decode_ok",
-                        "cleanup_slots", "seed"}
+                        "cleanup_slots"}
     assert "[1,2]" not in doc["slots_per_subphase"]  # pair pool never used
     assert doc["slots_per_subphase"]["[1]"] == 5
 
@@ -340,3 +342,15 @@ def test_block_decoder_merges_pools_closed_in_a_cycle():
     res = run_delivery(cfg, pm, seed=118)
     assert res.decode_ok == [True] * 4
 
+
+
+def test_decoder_checks_a_row_left_with_no_unknown():
+    # a combination user 1 heard after it knew every atom in it folds to
+    # 0 = 0; a corrupted value must raise, not vanish with the row
+    cfg = cfg_of((0.3,) * 3, (0.5,) * 3, 40)
+    eng = _delivered(cfg, decentralized_placement(cfg, 1), Demand.identity(3), 2)
+    known = eng._known(0)
+    atom = next(a for a in eng.member_rows[0] if known[eng.combos[a][1]].all())
+    eng.vals[atom] ^= 1
+    with pytest.raises(InconsistentSystemError):
+        eng.decode_user(1)

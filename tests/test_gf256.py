@@ -138,3 +138,69 @@ def test_rref_of_reduced_plus_one_row_determines_the_raw_stack(n, rows, width,
     got = fixed(np.vstack([reduced, raw[rows]]))
     assert got == fixed(raw.copy())
     assert all(v == truth[c].tolist() for c, v in got.items())
+
+
+def consistent_system(rng, rows, n, width, q, rank):
+    """Augmented matrix of `rows` equations over n unknowns whose
+    coefficient rows span at most `rank` dimensions, and the unknowns."""
+    truth = rng.integers(0, 256, (n, width), dtype=np.uint8)
+    basis = rng.integers(0, q, (rank, n), dtype=np.uint8)
+    mix = rng.integers(0, q, (rows, rank), dtype=np.uint8)
+    coefs = np.array([gf_dot(w, basis) for w in mix],
+                     dtype=np.uint8).reshape(rows, n)
+    rhs = np.array([gf_dot(c, truth) for c in coefs],
+                   dtype=np.uint8).reshape(rows, width)
+    return np.concatenate([coefs, rhs], axis=1), truth
+
+
+SHAPES = ("square", "tall", "rank-deficient")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 12), st.sampled_from(SHAPES),
+       st.sampled_from([2, 256]), st.sampled_from([1, 3]),
+       st.integers(0, 10_000))
+def test_block_mode_pivots_and_solution_match_full_reduction(n, extra, shape,
+                                                             q, width, seed):
+    rng = np.random.default_rng(seed)
+    rows = {"square": n, "tall": n + 1 + extra, "rank-deficient": n + extra}
+    rank = n if shape != "rank-deficient" else int(rng.integers(0, max(n, 1)))
+    m, truth = consistent_system(rng, rows[shape], n, width, q, rank)
+    full, block = m.copy(), m.copy()
+    pf = rref(full, n)
+    pb = rref(block, n, reduce=False)
+    assert set(pb) == set(pf)
+    # both hold the solution whose free unknowns are zero
+    assert all(np.array_equal(block[pb[c], n:], full[pf[c], n:]) for c in pf)
+    if len(pb) == n:
+        assert all(np.array_equal(block[pb[c], n:], truth[c]) for c in pb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 12), st.sampled_from([2, 256]),
+       st.sampled_from([1, 3]), st.booleans(), st.integers(0, 10_000))
+def test_corrupted_redundant_row_raises_in_both_modes(n, extra, q, width,
+                                                      past_square, seed):
+    rng = np.random.default_rng(seed)
+    rows = n + 1 + extra
+    m, _ = consistent_system(rng, rows, n, width, q, n)
+    # row i becomes a combination of the others, then its right-hand side
+    # is corrupted; outside the square subset only the check sees it
+    i = int(rng.integers(n, rows) if past_square else rng.integers(0, rows))
+    others = np.delete(m, i, axis=0)
+    mix = rng.integers(0, q, rows - 1, dtype=np.uint8)
+    m[i] = gf_dot(mix, others) if rows > 1 else 0
+    m[i, n + int(rng.integers(width))] ^= int(rng.integers(1, 256))
+    for reduce in (True, False):
+        with pytest.raises(InconsistentSystemError):
+            rref(m.copy(), n, reduce=reduce)
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+def test_rref_of_empty_systems(reduce):
+    for rows, n, width in ((0, 0, 1), (0, 3, 2), (2, 0, 1)):
+        m = np.zeros((rows, n + width), dtype=np.uint8)
+        assert rref(m, n, reduce=reduce) == {}
+    # no unknowns: a row reading 0 = nonzero still raises
+    with pytest.raises(InconsistentSystemError):
+        rref(np.array([[0], [7]], dtype=np.uint8), 0, reduce=reduce)
