@@ -27,7 +27,10 @@ from .model import (Demand, RateVector, SystemConfig, mask_of,
 from .placement import PlacementMap
 
 MAX_PERMUTATION_K = 8
-FEASIBILITY_TOL = 1e-9
+FEASIBILITY_TOL = 1e-9    # slack on the largest inequality's left-hand side
+DOMINANCE_TOL = 1e-12     # slack of permutation_dominance over the identity
+VERTEX_TOL = 1e-9         # slack of region_vertices' nonnegativity and planes
+IDENTITY_TOL = 1e-9       # largest residual IdentityReport.ok accepts
 
 
 def _subset_products(out: Sequence[float], into: Sequence[float],
@@ -123,13 +126,12 @@ class FeasibilityResult:
     max_lhs: float
 
 
-def feasibility(cfg: SystemConfig, r: RateVector,
-                tol: float = FEASIBILITY_TOL) -> FeasibilityResult:
+def feasibility(cfg: SystemConfig, r: RateVector) -> FeasibilityResult:
     """Check the rate vector against all K! inequalities at once, through
     the lattice maximum; reports the order with the largest left-hand
     side."""
     worst, order = _lattice_max(_weights(cfg.p, cfg.delta), r.rates)
-    return FeasibilityResult(worst <= 1.0 + tol, order, worst)
+    return FeasibilityResult(worst <= 1.0 + FEASIBILITY_TOL, order, worst)
 
 
 class DegenerateRegionError(ValueError):
@@ -192,17 +194,16 @@ def ttot_closed_form(cfg: SystemConfig, demand: Demand | None = None,
 class PhasePlan:
     """Expected sub-phase length table.
 
-    t_user[(J, k)] is the length user k needs in sub-phase J, t_sub[J] the
-    realized (worst user) length, transfers[(I, J, k)] the expected count
-    of symbols created in sub-phase I for user k and re-sent in J.  All
-    subsets are ascending 1-based tuples.
+    t_user[(J, k)] is the length user k needs in sub-phase J and t_sub[J]
+    the realized (worst user) length, over ascending 1-based tuples.  The
+    symbols created in sub-phase I for k and re-sent in J (expected
+    t_user[(I, k)] * delta_k * prod_{j not in J} delta_j
+    * prod_{j in J - I}(1 - delta_j)) enter k's need in J; none is kept.
     """
 
-    K: int
     sizes: tuple[float, ...]
     t_user: dict[tuple[tuple[int, ...], int], float]
     t_sub: dict[tuple[int, ...], float]
-    transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], float]
     total: float
 
     def to_json(self) -> dict:
@@ -246,7 +247,6 @@ def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
     t = [[0.0] * (1 << K) for _ in range(K)]   # t[k0][J]
     t_user: dict[tuple[tuple[int, ...], int], float] = {}
     t_sub: dict[tuple[int, ...], float] = {}
-    transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], float] = {}
     total = 0.0
     for J in subsets_ascending(K):
         Jt = users[J]
@@ -258,15 +258,12 @@ def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
             dd = erase[(full & ~J) | bit]
             rest = J & ~bit
             need = need0[k0][rest]
-            # earlier sub-phases sub = s | bit, s a proper subset of rest,
-            # in descending order
+            # symbols of earlier sub-phases s | bit, s a proper subset of
+            # rest, in descending order
             s = rest
             while s:
                 s = (s - 1) & rest
-                sub = s | bit
-                n = tk0[sub] * dd * passed[rest & ~s]
-                transfers[(users[sub], Jt, k)] = n
-                need += n
+                need += tk0[s | bit] * dd * passed[rest & ~s]
             tk = need / (1.0 - dd)
             tk0[J] = tk
             t_user[(Jt, k)] = tk
@@ -274,7 +271,7 @@ def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
                 best = tk
         t_sub[Jt] = best
         total += best
-    return PhasePlan(K, F, t_user, t_sub, transfers, total)
+    return PhasePlan(F, t_user, t_sub, total)
 
 
 def _alternating(w: Sequence[float], base: int, rest: int) -> float:
@@ -421,22 +418,20 @@ def miso_dof_coefficient(K: int, k: int, p: float | None = None,
     return (comb(K - k, b) / comb(K, b)) / k
 
 
-def permutation_dominance(cfg: SystemConfig, r: RateVector,
-                          tol: float = 1e-12) -> bool:
+def permutation_dominance(cfg: SystemConfig, r: RateVector) -> bool:
     """With rates scaled so the identity permutation's inequality is
     tight, check that every other permutation's left-hand side stays
-    within 1 + tol.  Assumes users are ordered so the identity is the
-    binding permutation (delta descending, one-sided fair rates)."""
+    within 1 + DOMINANCE_TOL.  Assumes users are ordered so the identity
+    is the binding permutation (delta descending, one-sided fair rates)."""
     w = _weights(cfg.p, cfg.delta)
     lhs_id = sum(w[(2 << i) - 1] * r.rates[i] for i in range(cfg.K))
     if lhs_id <= 0.0:
         raise ValueError("identity inequality has nonpositive LHS")
     top, _ = _lattice_max(w, r.rates)
-    return top * (1.0 / lhs_id) <= 1.0 + tol
+    return top * (1.0 / lhs_id) <= 1.0 + DOMINANCE_TOL
 
 
-def region_vertices(cfg: SystemConfig, tol: float = 1e-9
-                    ) -> list[tuple[float, ...]]:
+def region_vertices(cfg: SystemConfig) -> list[tuple[float, ...]]:
     """Vertices of the rate region polytope by brute-force intersection;
     refused above K = 4."""
     if cfg.K > 4:
@@ -460,9 +455,9 @@ def region_vertices(cfg: SystemConfig, tol: float = 1e-9
         if abs(np.linalg.det(A)) < 1e-12:
             continue
         x = np.linalg.solve(A, b)
-        if (x < -tol).any():
+        if (x < -VERTEX_TOL).any():
             continue
-        ok = all(a @ x <= bb + tol for a, bb in planes[:len(rows)])
+        ok = all(a @ x <= bb + VERTEX_TOL for a, bb in planes[:len(rows)])
         if not ok:
             continue
         if not any(np.allclose(x, np.array(v), atol=1e-9) for v in verts):
@@ -511,8 +506,9 @@ class IdentityReport:
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.max_residual < tol and self.worst_user_ok and self.dominance_ok
+    def ok(self) -> bool:
+        return (self.max_residual < IDENTITY_TOL and self.worst_user_ok
+                and self.dominance_ok)
 
 
 def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityReport:
@@ -550,13 +546,7 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
                 acc = 0.0
                 sub = Jm
                 while True:
-                    inner = sub
-                    while True:
-                        sign = -1.0 if bin(inner).count("1") % 2 else 1.0
-                        acc += sign * w[(full & ~sub) | inner]
-                        if inner == 0:
-                            break
-                        inner = (inner - 1) & sub
+                    acc += _alternating(w, full & ~sub, sub)
                     if sub == 0:
                         break
                     sub = (sub - 1) & Jm

@@ -137,7 +137,11 @@ class _Engine:
                                 f"(choose from {SUPPORTED_FIELD_ORDERS})")
         self.delta = checked_delta(K, delta)
         self.K = K
+        # packet values are default_rng(seed)'s first draw; coefficients and
+        # channel states have streams of their own, whatever the payload
         self.rng = np.random.default_rng(seed)
+        self.coef_rng, self.chan_rng = map(
+            np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
         self.q = q
         self.L = payload_len
         self.trace = trace
@@ -199,11 +203,11 @@ class _Engine:
     def _state(self) -> int:
         if self.state_source is not None:
             return next(self.state_source)
-        return int(((self.rng.random(self.K) < (1.0 - self.delta))
+        return int(((self.chan_rng.random(self.K) < (1.0 - self.delta))
                     @ self.powers))
 
     def _coefs(self, n: int) -> np.ndarray:
-        return self.rng.integers(0, self.q, n, dtype=np.uint8)
+        return self.coef_rng.integers(0, self.q, n, dtype=np.uint8)
 
     def _trace(self, pool_mask: int, S: int, action: str) -> None:
         if self.trace is not None:

@@ -34,6 +34,14 @@ class MonteCarloResult:
     seed: int
 
 
+def _summary(values: list[float], seed: int) -> MonteCarloResult:
+    """Mean, its standard error and 95% half-width over the trials."""
+    trials = len(values)
+    mean = float(np.mean(values))
+    stderr = float(np.std(values, ddof=1) / sqrt(trials)) if trials > 1 else 0.0
+    return MonteCarloResult(mean, stderr, 1.96 * stderr, values, trials, seed)
+
+
 def trial_seeds(seed: int | np.random.SeedSequence) -> tuple[int, int]:
     """Placement and delivery seeds of one trial: two independent words
     drawn from `seed`, so the caches and the channel never share a
@@ -70,9 +78,7 @@ def monte_carlo(cfg: SystemConfig, demand: Demand | None = None,
             values = list(pool.map(_one_trial, tasks))
     else:
         values = [_one_trial(t) for t in tasks]
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / sqrt(trials)) if trials > 1 else 0.0
-    return MonteCarloResult(mean, stderr, 1.96 * stderr, values, trials, seed)
+    return _summary(values, seed)
 
 
 def order_capacity_trial(K: int, delta: float, order: int, n_packets: int,
@@ -89,9 +95,7 @@ def order_capacity_trial(K: int, delta: float, order: int, n_packets: int,
         res = simulate_lengths(K, (delta,) * K, needs, sseed,
                                start_phase=order)
         values.append(total_symbols / res.slots_total)
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / sqrt(trials)) if trials > 1 else 0.0
-    return MonteCarloResult(mean, stderr, 1.96 * stderr, values, trials, seed)
+    return _summary(values, seed)
 
 
 @dataclass

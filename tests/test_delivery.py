@@ -79,6 +79,23 @@ def test_decode_multibyte_payloads():
     assert res.recovered[1].shape == (60, 4)
 
 
+def test_payload_length_leaves_the_channel_realisation_alone():
+    # packet values are the first draw of default_rng(seed); coefficients
+    # and channel states have streams of their own, so the payload length
+    # moves no slot
+    cfg = cfg_of((0.5,) * 3, (0.5,) * 3, 1000)
+    pm = decentralized_placement(cfg, 1)
+    runs = [run_delivery(cfg, pm, seed=2, payload_len=L)
+            for L in (1, 64, 1024)]
+    for res in runs[1:]:
+        assert res.slots_total == runs[0].slots_total
+        assert res.slots_per_subphase == runs[0].slots_per_subphase
+        assert res.cleanup_slots == runs[0].cleanup_slots
+    values = np.random.default_rng(2).integers(0, 256, (3000, 64),
+                                               dtype=np.uint8)
+    assert np.array_equal(runs[1].recovered[2], values[1000:2000])
+
+
 def test_debug_mode_checks_payload_identity():
     cfg = cfg_of((0.4, 0.4), (0.4, 0.4), 50)
     pm = decentralized_placement(cfg, 4)
@@ -214,12 +231,21 @@ def test_subphase_slot_rate_matches_progress_probability():
 
 def test_realized_transfers_match_expected_counts():
     F = 20_000
-    cfg = cfg_of((0.25, 0.5, 0.4), (1 / 3, 2 / 3, 0.5), F)
+    delta = (0.25, 0.5, 0.4)
+    cfg = cfg_of(delta, (1 / 3, 2 / 3, 0.5), F)
     pm = decentralized_placement(cfg, 8)
     res = run_delivery_lengths(cfg, pm, seed=9)
     plan = analysis.phase_plan(cfg, sizes=(F,) * 3)
     for key in [((1,), (1, 2), 1), ((2,), (2, 3), 2), ((1, 2), (1, 2, 3), 1)]:
-        want = plan.transfers[key]
+        # t_k(I) * delta_k * prod_{j not in J} delta_j
+        #        * prod_{j in J - I} (1 - delta_j)
+        I, J, k = key
+        want = plan.t_user[(I, k)] * delta[k - 1]
+        for j in range(1, 4):
+            if j not in J:
+                want *= delta[j - 1]
+            elif j not in I:
+                want *= 1.0 - delta[j - 1]
         got = res.realized_transfers.get(key, 0)
         assert abs(got - want) <= 4 * math.sqrt(want + 1) + 4
 
@@ -331,15 +357,17 @@ def test_block_decoder_matches_one_global_elimination(K, F, q, L, seed, data):
 
 def test_block_decoder_merges_pools_closed_in_a_cycle():
     # user 4 meets a promoted combination it neither heard nor needs whose
-    # pool of origin depends on the pool it reached: one merged block
+    # pool of origin depends on the pool it reached: one merged block.
+    # The instance is the first placement seed s in 0..59, with delivery
+    # seed 100 + s, whose decode of user 4 merges a block.
     cfg = cfg_of((0.2, 0.3, 0.4, 0.5), (0.5, 0.4, 0.3, 0.6), 40)
-    pm = decentralized_placement(cfg, 18)
-    eng = _delivered(cfg, pm, Demand.identity(4), 118)
+    pm = decentralized_placement(cfg, 29)
+    eng = _delivered(cfg, pm, Demand.identity(4), 129)
     solved, unresolved, state = eng.decode_user(4)
     assert state.merged >= 1
     assert not unresolved
     assert set(solved) == set(global_solve(eng, 4))
-    res = run_delivery(cfg, pm, seed=118)
+    res = run_delivery(cfg, pm, seed=129)
     assert res.decode_ok == [True] * 4
 
 
