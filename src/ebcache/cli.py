@@ -20,7 +20,7 @@ from . import analysis, experiments
 from .delivery import DeliveryError, run_delivery
 from .fastsim import run_delivery_lengths
 from .model import (ConfigError, Demand, RateVector, load_config,
-                    validate_demand)
+                    validate_config, validate_demand)
 from .placement import centralized_placement, decentralized_placement
 
 PLACEMENT_EXPORT_LIMIT = 100_000
@@ -52,6 +52,9 @@ def _load(args):
     cfg = load_config(args.config)
     if getattr(args, "F", None):
         cfg = replace(cfg, file_sizes=(args.F,) * cfg.N)
+        check = validate_config(cfg)
+        if not check.ok:
+            raise ConfigError(f"invalid --F: {', '.join(check.violations)}")
     return cfg
 
 
@@ -128,6 +131,10 @@ FULL_TRACKING_HARD_LIMIT = 300_000
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     demand = _parse_demand(cfg, args.demand)
+    if not 1 <= args.start_phase <= cfg.K:
+        raise ConfigError(f"--start-phase must be in 1..{cfg.K}")
+    if args.cleanup_budget is not None and args.cleanup_budget < 0:
+        raise ConfigError("--cleanup-budget must be >= 0")
     pseed, dseed = experiments.trial_seeds(args.seed)
     pm = _placement_for(cfg, args.scheme, pseed)
     if args.export_placement:

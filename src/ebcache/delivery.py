@@ -13,6 +13,14 @@ pool.  After each slot the realized receiver set drives the bookkeeping:
   * otherwise the slot was wasted for the users that missed it and a
     fresh combination goes out next.
 
+Every atom (a packet or a combination) is carried by at most one slot,
+so one atom table, grown with the atom values, holds what the feedback
+told: the receiver set of the slot that carried each atom (`heard`), the
+pool a combination was formed in (`src`), and the last pool the atom was
+seeded into with the users that need it there (`seat`, `want`).  What a
+user heard, the rows it banked in its own pools and the pool where it
+needs each atom are all read from the table.
+
 Decoding eliminates each user's banked equations pool by pool.  A pool
 only ever combines atoms (packets and promoted combinations) seeded into
 it, so the equations fall into one block per pool, eliminated in
@@ -38,7 +46,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf256 import MUL, InconsistentSystemError, gf_dot, gf_fold, rref
+from .gf256 import InconsistentSystemError, gf_dot, gf_fold, rref
 from .model import (SUPPORTED_FIELD_ORDERS, Demand, SystemConfig, mask_of,
                     subsets_ascending, users_of)
 from .placement import PlacementMap
@@ -130,7 +138,6 @@ class _Residual:
 class _Engine:
     def __init__(self, K: int, delta, seed: int, q: int = 256,
                  payload_len: int = 1, trace: list | None = None,
-                 debug: bool = False,
                  state_source: Iterator[int] | None = None):
         if q not in SUPPORTED_FIELD_ORDERS:
             raise DeliveryError(f"field order {q} unsupported "
@@ -145,25 +152,24 @@ class _Engine:
         self.q = q
         self.L = payload_len
         self.trace = trace
-        self.debug = debug
         self.state_source = state_source
         self.full = (1 << K) - 1
         self.powers = (1 << np.arange(K)).astype(np.int64)
         self.pools: dict[int, _Pool] = {}
         self.npackets = 0
-        # value of every atom, packets first, then combinations as sent
+        # the atom table, packets first, then combinations as sent: value,
+        # receiver set of the carrying slot (0 if none), pool of origin
+        # (0 for packets), last pool seeded into and who needs it there
         self.vals = np.empty((0, payload_len), dtype=np.uint8)
+        self.heard = self.src = self.seat = self.want = _NO_I64
         self.pmask: np.ndarray | None = None            # caching bitmask
         self.must_decode: list[np.ndarray] = [np.empty(0, np.int64)] * K
-        # combo registry: atom -> (src pool mask, constituent atoms, coefs)
-        self.combos: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        # combination atom -> (constituent atoms, coefs)
+        self.combos: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.next_atom = 0
-        self.stored: list[list[int]] = [[] for _ in range(K)]   # atoms heard
-        self.member_rows: list[list[int]] = [[] for _ in range(K)]
         self.slot = 0
         self.slots_per_subphase: dict[tuple[int, ...], int] = {}
         self.transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
-        self._expansion: dict[int, dict[int, int]] = {}
 
     # -- setup -------------------------------------------------------------
 
@@ -171,10 +177,19 @@ class _Engine:
         self.npackets = npackets
         self.next_atom = npackets
         # room for as many combinations as packets before the table grows
-        self.vals = np.empty((2 * npackets + 16, self.L), dtype=np.uint8)
+        self._grow(2 * npackets + 16)
         self.vals[:npackets] = self.rng.integers(0, 256, (npackets, self.L),
                                                  dtype=np.uint8)
         self.pmask = pmask.astype(np.int64)
+
+    def _grow(self, size: int) -> None:
+        n = len(self.vals)
+        vals = np.empty((size, self.L), dtype=np.uint8)
+        vals[:n] = self.vals
+        self.vals = vals
+        self.heard, self.src, self.seat, self.want = (
+            np.concatenate([a, np.zeros(size - n, np.int64)])
+            for a in (self.heard, self.src, self.seat, self.want))
 
     @property
     def values(self) -> np.ndarray:
@@ -185,17 +200,19 @@ class _Engine:
         pool = self.pools.setdefault(pool_mask, _Pool())
         pool.atoms.append(atom)
         pool.needed.append(needed_mask)
+        self.seat[atom] = pool_mask
+        self.want[atom] = needed_mask
 
-    def _new_combo(self, pool_mask: int, atom_ids: np.ndarray,
+    def _new_combo(self, pool_mask: int, S: int, atom_ids: np.ndarray,
                    coefs: np.ndarray, payload: np.ndarray) -> int:
         atom = self.next_atom
         self.next_atom += 1
         if atom == len(self.vals):
-            grown = np.empty((2 * atom, self.L), dtype=np.uint8)
-            grown[:atom] = self.vals
-            self.vals = grown
+            self._grow(2 * atom)
         self.vals[atom] = payload
-        self.combos[atom] = (pool_mask, atom_ids, coefs)
+        self.heard[atom] = S
+        self.src[atom] = pool_mask
+        self.combos[atom] = (atom_ids, coefs)
         return atom
 
     # -- channel -----------------------------------------------------------
@@ -248,9 +265,7 @@ class _Engine:
                 if S == 0:
                     self._trace(pool_mask, S, "waste")
                     continue
-                for u in range(self.K):
-                    if S >> u & 1:
-                        self.stored[u].append(atom)
+                self.heard[atom] = S
                 if S >> k0 & 1:
                     self._trace(pool_mask, S, "deliver")
                 else:
@@ -263,13 +278,8 @@ class _Engine:
     def _run_multicast(self, pool_mask: int, pool: _Pool) -> None:
         atoms = np.asarray(pool.atoms, dtype=np.int64)
         needed = np.asarray(pool.needed, dtype=np.int64)
-        r = np.zeros(self.K, dtype=np.int64)
-        for k0 in range(self.K):
-            r[k0] = int(np.count_nonzero(needed >> k0 & 1))
-        active = 0
-        for k0 in range(self.K):
-            if r[k0] > 0:
-                active |= 1 << k0
+        r = [int(np.count_nonzero(needed >> k0 & 1)) for k0 in range(self.K)]
+        active = sum(1 << k0 for k0 in range(self.K) if r[k0])
         # atoms still wanted by an active user, shared by the combinations
         # sent until the active set changes
         act_atoms = atoms[np.nonzero(needed & active)[0]]
@@ -280,80 +290,38 @@ class _Engine:
             S = self._state()
             got = S & active
             moved = (active & ~S) if (S & ~pool_mask) else 0
-            atom = -1
-            if S or moved:
-                # a slot nobody heard needs no payload
-                atom = self._new_combo(pool_mask, act_atoms, coefs,
+            if S:
+                # a slot nobody heard needs no payload, and moves nothing
+                atom = self._new_combo(pool_mask, S, act_atoms, coefs,
                                        gf_dot(coefs, act_vals))
-                if self.debug:
-                    self._check_payload(atom)
-                for u in range(self.K):
-                    if S >> u & 1:
-                        self.stored[u].append(atom)
-                        if pool_mask >> u & 1:
-                            self.member_rows[u].append(atom)
-            for k0 in range(self.K):
-                if got >> k0 & 1:
-                    r[k0] -= 1
-            if moved:
-                target = pool_mask | S
-                self.seed_item(target, atom, moved)
-                self._record_transfer(pool_mask, target, moved)
-                for k0 in range(self.K):
-                    if moved >> k0 & 1:
-                        r[k0] -= 1
+                if moved:
+                    target = pool_mask | S
+                    self.seed_item(target, atom, moved)
+                    self._record_transfer(pool_mask, target, moved)
             if got:
                 self._trace(pool_mask, S, "deliver")
             elif moved:
                 self._trace(pool_mask, S, "promote")
             else:
                 self._trace(pool_mask, S, "waste")
+            # each user that received or moved up has one equation fewer
             finished = 0
-            for k0 in range(self.K):
-                if active >> k0 & 1 and r[k0] == 0:
-                    finished |= 1 << k0
+            for k in users_of(got | moved):
+                r[k - 1] -= 1
+                if not r[k - 1]:
+                    finished |= 1 << (k - 1)
             if finished:
                 active &= ~finished
                 act_atoms = atoms[np.nonzero(needed & active)[0]]
                 act_vals = self.vals[act_atoms]
-
-    # -- debug -------------------------------------------------------------
-
-    def _expand(self, atom: int) -> dict[int, int]:
-        """Packet-space coefficient vector of an atom (debug only)."""
-        if atom < self.npackets:
-            return {atom: 1}
-        if atom in self._expansion:
-            return self._expansion[atom]
-        _, atom_ids, coefs = self.combos[atom]
-        out: dict[int, int] = {}
-        for a, c in zip(atom_ids.tolist(), coefs.tolist()):
-            if c == 0:
-                continue
-            for pid, cc in self._expand(a).items():
-                v = out.get(pid, 0) ^ int(MUL[c, cc])
-                if v:
-                    out[pid] = v
-                else:
-                    out.pop(pid)
-        self._expansion[atom] = out
-        return out
-
-    def _check_payload(self, atom: int) -> None:
-        expected = np.zeros(self.L, dtype=np.uint8)
-        for pid, c in self._expand(atom).items():
-            expected ^= MUL[c, self.values[pid]]
-        if not np.array_equal(expected, self.vals[atom]):
-            raise DeliveryError("payload identity violated (engine bug)")
 
     # -- decoding ----------------------------------------------------------
 
     def _known(self, k0: int) -> np.ndarray:
         """Mask of the atoms user k0 + 1 holds: its cached packets and
         every atom it heard."""
-        known = np.zeros(self.next_atom, dtype=bool)
-        known[:self.npackets] = (self.pmask >> k0 & 1).astype(bool)
-        known[self.stored[k0]] = True
+        known = (self.heard[:self.next_atom] >> k0 & 1).astype(bool)
+        known[:self.npackets] |= (self.pmask >> k0 & 1).astype(bool)
         return known
 
     def _user_system(self, k0: int, known: np.ndarray):
@@ -376,30 +344,25 @@ class _Engine:
         """
         bit = 1 << k0
         L = self.L
+        n = self.next_atom
         # the pool where the user needs each atom; a raw packet promoted
-        # out of {k} keeps its id, so the larger pool is the one that counts
-        home = np.zeros(self.next_atom, dtype=np.int64)
-        for pool_mask in sorted(self.pools, key=int.bit_count):
-            if pool_mask & bit:
-                pool = self.pools[pool_mask]
-                atoms = np.asarray(pool.atoms, dtype=np.int64)
-                home[atoms[np.asarray(pool.needed) & bit != 0]] = pool_mask
+        # out of {k} keeps its id, so its last seat is the one that counts
+        home = np.where(self.want[:n] & bit, self.seat[:n], 0)
         home[known] = 0
         needed = np.nonzero(home)[0]
         needed = needed[np.argsort(home[needed], kind="stable")]
-        col = np.full(self.next_atom, -1, dtype=np.int32)
+        col = np.full(n, -1, dtype=np.int32)
         col[needed] = np.arange(len(needed))
         ncols = len(needed)
 
         # wave 0: the combinations heard in the user's pools, whose value
         # is the right-hand side, and the definitions `atom + combination
         # = 0` of the combinations it needs, by node and then by atom
-        member = np.asarray(self.member_rows[k0], dtype=np.int64)
+        member = np.nonzero(self.heard[:n] & self.src[:n] & bit)[0]
         atoms = np.concatenate([member, needed[needed >= self.npackets]])
-        combos = [self.combos[a] for a in atoms.tolist()]
-        src = np.fromiter((cb[0] for cb in combos), np.int64, len(combos))
+        src = self.src[atoms]
         order = np.lexsort((atoms, src))
-        combos = [combos[i] for i in order.tolist()]
+        combos = [self.combos[a] for a in atoms[order].tolist()]
         atoms, node = atoms[order], src[order]
         defines = col[atoms] >= 0
         rhs = np.zeros((len(atoms), L), dtype=np.uint8)
@@ -411,8 +374,8 @@ class _Engine:
             nodes.append(node)
             rhss.append(rhs)
             # a definition's own atom closes its row, with coefficient 1
-            parts = [(np.append(cb[1], a), np.append(cb[2], _ONE)) if d
-                     else cb[1:] for cb, a, d in
+            parts = [(np.append(cb[0], a), np.append(cb[1], _ONE)) if d
+                     else cb for cb, a, d in
                      zip(combos, atoms.tolist(), defines.tolist())]
             lens = np.fromiter((len(p[1]) for p in parts), np.int64,
                                len(parts))
@@ -675,7 +638,7 @@ def _file_offsets(cfg: SystemConfig) -> np.ndarray:
 def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = None,
                  seed: int = 0, start_phase: int = 1, decode: bool = True,
                  payload_len: int = 1, cleanup_budget: int | None = None,
-                 trace: list | None = None, debug: bool = False,
+                 trace: list | None = None,
                  state_source: Iterator[int] | None = None) -> SimResult:
     """Execute phases start_phase..K for the given placement and demand.
 
@@ -686,7 +649,7 @@ def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = No
     """
     demand = demand or Demand.identity(cfg.K)
     eng = _delivered(cfg, pm, demand, seed, start_phase, payload_len,
-                     trace=trace, debug=debug, state_source=state_source)
+                     trace=trace, state_source=state_source)
     return _finish(eng, decode, cleanup_budget)
 
 

@@ -116,6 +116,8 @@ class SweepSpec:
             raise ValueError("grid must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.F < 1:
+            raise ValueError("F must be >= 1")
         if self.varying not in ("delta", "mem", "K"):
             raise ValueError(f"cannot vary {self.varying!r}")
 
@@ -200,6 +202,8 @@ def optimize_memory(cfg: SystemConfig, budget: float, step: float
     reports the closed-form minimizer as the companion lower bound."""
     if not 0 <= budget <= cfg.K * cfg.N:
         raise ValueError("budget outside [0, K*N]")
+    if not step > 0:
+        raise ValueError("step must be positive")
     n = round(budget / step)
     if abs(n * step - budget) > 1e-9:
         raise ValueError("step must divide budget")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .delivery import SimResult, checked_delta
+from .delivery import DeliveryError, SimResult, checked_delta
 from .model import Demand, SystemConfig, subsets_ascending, users_of
 from .placement import PlacementMap
 
@@ -53,6 +53,8 @@ def simulate_lengths(K: int, delta, needs: dict[int, np.ndarray], seed: int,
                      start_phase: int = 1) -> SimResult:
     """Slot counts for the whole delivery given initial per-pool needs."""
     delta = checked_delta(K, delta)
+    if not 1 <= start_phase <= K:
+        raise DeliveryError("start_phase out of range")
     rng = np.random.default_rng(seed)
     powers = (1 << np.arange(K)).astype(np.int64)
     pending = {m: needs.get(m, np.zeros(K, dtype=np.int64)).copy()

@@ -199,6 +199,23 @@ def test_decode_failure_is_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ttot", "--F", "-5"],
+    ["plan", "--F", "-5"],
+    ["sweep", "--vary", "mem", "--grid", "0", "--trials", "2", "--jobs", "1",
+     "--F", "-5"],
+    ["simulate", "--start-phase", "0"],
+    ["simulate", "--start-phase", "3", "--length-only"],
+    ["simulate", "--cleanup-budget", "-1"],
+    ["optimize-mem", "--budget", "2", "--step", "0"],
+])
+def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
+    code = main([argv[0], "--config", two_user, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and not captured.out
+
+
 def test_numeric_output_rounded_to_twelve_significant_digits(capsys, two_user):
     code, out = run(capsys, ["ttot", "--config", two_user])
     doc = json.loads(out)
