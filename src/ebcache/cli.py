@@ -50,7 +50,7 @@ def _emit_csv(rows: list[dict], columns: list[str]) -> None:
 
 def _load(args):
     cfg = load_config(args.config)
-    if getattr(args, "F", None):
+    if getattr(args, "F", None) is not None:
         cfg = replace(cfg, file_sizes=(args.F,) * cfg.N)
         check = validate_config(cfg)
         if not check.ok:
@@ -177,11 +177,12 @@ def _cmd_sweep(args) -> int:
     spec = experiments.SweepSpec(
         varying=args.vary,
         grid=[float(x) for x in args.grid.split(",")],
-        base=cfg, trials=args.trials, F=args.F or experiments.DEFAULT_SWEEP_F,
+        base=cfg, trials=args.trials,
+        F=experiments.DEFAULT_SWEEP_F if args.F is None else args.F,
         seed=args.seed, jobs=args.jobs, scheme=args.scheme)
-    rows = sweep_rows = experiments.sweep(spec)
+    rows = experiments.sweep(spec)
     if args.output == "json":
-        _emit_json(sweep_rows)
+        _emit_json(rows)
     else:
         _emit_csv(rows, experiments.SWEEP_COLUMNS)
     return 0
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, F=False, seed=False):
         p.add_argument("--config", required=True, help="config JSON path")
         if F:
-            p.add_argument("--F", type=int, default=0,
+            p.add_argument("--F", type=int, default=None,
                            help="override every file size")
         if seed:
             p.add_argument("--seed", type=int, default=0)

@@ -14,8 +14,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from . import analysis
-from .fastsim import run_delivery_lengths
+from . import analysis, fastsim
 from .model import Demand, SystemConfig, validate_config
 from .placement import centralized_placement, decentralized_placement
 
@@ -58,8 +57,8 @@ def _one_trial(args) -> float:
         pm = centralized_placement(cfg)
     else:
         pm = decentralized_placement(cfg, pseed)
-    res = run_delivery_lengths(cfg, pm, demand, seed=sseed,
-                               start_phase=start_phase)
+    res = fastsim.run_delivery_lengths(cfg, pm, demand, seed=sseed,
+                                       start_phase=start_phase)
     return res.slots_total / cfg.mean_file_size
 
 
@@ -85,15 +84,14 @@ def order_capacity_trial(K: int, delta: float, order: int, n_packets: int,
                          trials: int = 10, seed: int = 0) -> MonteCarloResult:
     """Empirical total rate of symbols wanted by exactly `order` users:
     every subset of that size is seeded and the pipeline entered there."""
-    from .fastsim import order_start_needs, simulate_lengths
-    needs = order_start_needs(K, order, n_packets)
+    needs = fastsim.order_start_needs(K, order, n_packets)
     total_symbols = comb(K, order) * n_packets
     children = np.random.SeedSequence(seed).spawn(trials)
     values = []
     for child in children:
         sseed = int(child.generate_state(1)[0])
-        res = simulate_lengths(K, (delta,) * K, needs, sseed,
-                               start_phase=order)
+        res = fastsim.simulate_lengths(K, (delta,) * K, needs, sseed,
+                                       start_phase=order)
         values.append(total_symbols / res.slots_total)
     return _summary(values, seed)
 

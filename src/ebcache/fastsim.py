@@ -6,6 +6,19 @@ pool) but tracks only per-user outstanding-equation counters, never the
 equations themselves.  Distributionally identical slot counts at a small
 fraction of the cost, which is what makes file sizes of 10^5 practical
 for Monte Carlo runs.
+
+Sub-phases run in `subsets_ascending` order.  Each draws chunks of
+channel states, every member of the pool served by the same chunk: one
+cumulative sum over the (slot, member) progress matrix gives each
+member's finishing slot, and one `nonzero` over the overheard-outside
+matrix, cut at those slots, gives every promotion, scattered into a
+single (2^K, K) table of pending counts.  The sub-phase uses the chunk up
+to the last finishing slot, or all of it and draws another.
+
+The draw protocol is fixed: one `rng.random((chunk, K))` per chunk, with
+the chunk size set by the largest outstanding count and the sub-phase's
+lowest progress probability, clipped to [128, 8192].  Every seeded
+output depends on it, so a change to it is a change of results.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from .model import Demand, SystemConfig, subsets_ascending, users_of
 from .placement import PlacementMap
 
 _CHUNK = 8192
+_SLOTS = np.arange(_CHUNK)[:, None]
 
 
 def initial_needs(cfg: SystemConfig, pm: PlacementMap,
@@ -24,16 +38,14 @@ def initial_needs(cfg: SystemConfig, pm: PlacementMap,
     """Per-pool initial outstanding counts: packets of user k's file
     cached by exactly C are outstanding for k in pool C + {k}."""
     demand = demand or Demand.identity(cfg.K)
-    needs = {m: np.zeros(cfg.K, dtype=np.int64)
-             for m in range(1, 1 << cfg.K)}
+    masks = np.arange(1 << cfg.K)
+    needs = np.zeros((1 << cfg.K, cfg.K), dtype=np.int64)
     for k in range(1, cfg.K + 1):
-        counts = pm.subset_counts(demand.file_of(k))
         bit = 1 << (k - 1)
-        for cmask in range(len(counts)):
-            if cmask & bit or counts[cmask] == 0:
-                continue
-            needs[cmask | bit][k - 1] += int(counts[cmask])
-    return needs
+        free = (masks & bit) == 0
+        counts = pm.subset_counts(demand.file_of(k))
+        needs[masks[free] | bit, k - 1] = counts[free]
+    return {m: needs[m] for m in range(1, 1 << cfg.K)}
 
 
 def order_start_needs(K: int, order: int, n_packets: int) -> dict[int, np.ndarray]:
@@ -57,57 +69,70 @@ def simulate_lengths(K: int, delta, needs: dict[int, np.ndarray], seed: int,
         raise DeliveryError("start_phase out of range")
     rng = np.random.default_rng(seed)
     powers = (1 << np.arange(K)).astype(np.int64)
-    pending = {m: needs.get(m, np.zeros(K, dtype=np.int64)).copy()
-               for m in range(1, 1 << K)}
+    inpool = (np.arange(1 << K)[:, None] >> np.arange(K) & 1).astype(bool)
+    # lowest per-slot progress probability of each pool, which bounds the
+    # expected length: its worst member and everyone outside all erase.
+    # The product over the outside is a left fold, as np.prod takes it.
+    silent = np.ones(1 << K)
+    for j in range(K):
+        silent[~inpool[:, j]] *= delta[j]
+    q_min = 1.0 - np.where(inpool, delta, 0.0).max(axis=1) * silent
+    # pending[t, k0]: equations member k0 of pool t still needs from it
+    pending = np.zeros((1 << K, K), dtype=np.int64)
+    for m in range(1, 1 << K):
+        if m in needs:
+            pending[m] = needs[m]
+    pending[~inpool] = 0
+    flat = pending.reshape(-1)
+    cells = flat.size
+    moved, weights = [], []         # promotions as pool * cells + t * K + k0
     per_subphase: dict[tuple[int, ...], int] = {}
-    transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
     total = 0
     for pool in subsets_ascending(K):
         if bin(pool).count("1") < start_phase:
             continue
-        r = pending[pool].copy()
-        members = [k0 for k0 in range(K) if pool >> k0 & 1]
-        if not any(r[k0] for k0 in members):
+        act = np.flatnonzero(pending[pool])
+        if not act.size:
             continue
-        # lowest per-slot progress probability bounds the expected length
-        q_min = min(1.0 - delta[k0] * float(np.prod(delta[[j for j in range(K)
-                     if not pool >> j & 1]])) for k0 in members)
+        need = pending[pool, act]
         length = 0
-        while True:
-            chunk = int(min(_CHUNK, max(128, 2 * max(r[k0] for k0 in members)
-                                        / q_min)))
-            states = ((rng.random((chunk, K)) < (1.0 - delta)) @ powers)
-            recv = (states[:, None] & powers[None, :]) != 0
-            outside = (states & ~pool) != 0
-            progress = recv | outside[:, None]
-            fin = {}
-            for k0 in members:
-                if r[k0] == 0:
-                    continue
-                cum = np.cumsum(progress[:, k0])
-                pos = int(np.searchsorted(cum, r[k0]))
-                fin[k0] = pos          # == chunk when not finished here
-            used = chunk if any(p >= chunk for p in fin.values()) \
-                else max(fin.values()) + 1
-            for k0, pos in fin.items():
-                lim = min(pos + 1, used) if pos < chunk else used
-                promo = (~recv[:lim, k0]) & outside[:lim]
-                if promo.any():
-                    tgt = states[:lim][promo] | pool
-                    cnt = np.bincount(tgt, minlength=1 << K)
-                    for t in np.nonzero(cnt)[0]:
-                        pending[int(t)][k0] += int(cnt[t])
-                        key = (users_of(pool), users_of(int(t)), k0 + 1)
-                        transfers[key] = transfers.get(key, 0) + int(cnt[t])
-                if pos < used:
-                    r[k0] = 0
+        while act.size:
+            chunk = int(min(_CHUNK, max(128, 2 * int(need.max())
+                                        / q_min[pool])))
+            recv = rng.random((chunk, K)) < (1.0 - delta)
+            states = recv @ powers
+            heard = recv[:, act]
+            prog = heard | ((states & ~pool) != 0)[:, None]
+            cum = np.cumsum(prog, axis=0)
+            fin = (cum < need).sum(axis=0)      # chunk if not finished here
+            used = min(int(fin.max()) + 1, chunk)
+            # progress without reception is a promotion; count those up to
+            # each member's finishing slot
+            rows, cols = np.nonzero(prog & ~heard & (_SLOTS[:chunk] <= fin))
+            if rows.size:
+                keys = (states[rows] | pool) * K + act[cols]
+                if keys.size > cells:
+                    cnt = np.bincount(keys, minlength=cells)
+                    flat += cnt
+                    keys = np.flatnonzero(cnt)
+                    weights.append(cnt[keys])
                 else:
-                    r[k0] -= int(np.count_nonzero(progress[:used, k0]))
+                    np.add.at(flat, keys, 1)
+                    weights.append(np.ones(keys.size, dtype=np.int64))
+                moved.append(pool * cells + keys)
+            left = fin == chunk
+            act, need = act[left], need[left] - cum[-1, left]
             length += used
-            if not any(r[k0] for k0 in members):
-                break
         per_subphase[users_of(pool)] = length
         total += length
+    transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
+    if moved:
+        keys, inv = np.unique(np.concatenate(moved), return_inverse=True)
+        counts = np.bincount(inv, weights=np.concatenate(weights))
+        for key, n in zip(keys.tolist(), counts.tolist()):
+            pool, cell = divmod(key, cells)
+            t, k0 = divmod(cell, K)
+            transfers[(users_of(pool), users_of(t), k0 + 1)] = int(n)
     return SimResult(
         slots_total=total,
         slots_per_subphase=per_subphase,

@@ -24,6 +24,7 @@ def mask_of(users: Iterable[int]) -> int:
     return m
 
 
+@lru_cache(maxsize=None)
 def users_of(mask: int) -> tuple[int, ...]:
     """Ascending 1-based users of a bitmask."""
     out = []

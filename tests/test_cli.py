@@ -208,12 +208,23 @@ def test_decode_failure_is_exit_2(capsys, tmp_path):
     ["simulate", "--start-phase", "3", "--length-only"],
     ["simulate", "--cleanup-budget", "-1"],
     ["optimize-mem", "--budget", "2", "--step", "0"],
+    ["sweep", "--vary", "mem", "--grid", "0", "--trials", "2", "--jobs", "1",
+     "--F", "0"],
 ])
 def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
     code = main([argv[0], "--config", two_user, *argv[1:]])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ") and not captured.out
+
+
+def test_explicit_F_0_is_applied_not_ignored(capsys, sym3):
+    code, out = run(capsys, ["plan", "--config", sym3])
+    assert code == 0 and json.loads(out)["total"] > 0
+    code, out = run(capsys, ["plan", "--config", sym3, "--F", "0"])
+    doc = json.loads(out)
+    assert code == 0 and doc["total"] == 0.0
+    assert all(sp["t"] == 0.0 for sp in doc["subphases"])
 
 
 def test_numeric_output_rounded_to_twelve_significant_digits(capsys, two_user):

@@ -356,6 +356,88 @@ def test_initial_needs_match_placement_counts():
         (pm.cache_masks[0] & 1) == 0))
 
 
+@pytest.mark.parametrize("scheme", ["decentralized", "centralized"])
+def test_initial_needs_count_every_uncached_demanded_packet(scheme):
+    # packet of user k's file cached by exactly C: one equation for k in C + {k}
+    cfg = SystemConfig(K=4, N=5, delta=(0.3,) * 4, mem=(2.5,) * 4,
+                       file_sizes=(60,) * 5)
+    pm = (centralized_placement(cfg) if scheme == "centralized"
+          else decentralized_placement(cfg, 31))
+    demand = Demand((4, 1, 5, 2))
+    want = {m: [0] * 4 for m in range(1, 16)}
+    for k in range(1, 5):
+        for c in pm.cache_masks[demand.file_of(k) - 1].tolist():
+            if not c >> (k - 1) & 1:
+                want[c | 1 << (k - 1)][k - 1] += 1
+    got = initial_needs(cfg, pm, demand)
+    assert {m: v.tolist() for m, v in got.items()} == want
+
+
+def replay_lengths(K, delta, needs, seed, start_phase):
+    """The fast simulator's schedule written out slot by slot: the same
+    chunks drawn from default_rng(seed) with the same size rule, each slot
+    then visited in plain Python, each member counted one at a time."""
+    rng = np.random.default_rng(seed)
+    delta = np.asarray(delta, dtype=float)
+    pending = {m: [int(x) for x in needs.get(m, [0] * K)]
+               for m in range(1, 1 << K)}
+    users = lambda m: tuple(j + 1 for j in range(K) if m >> j & 1)
+    per_subphase, transfers, total = {}, {}, 0
+    for pool in sorted(range(1, 1 << K),
+                       key=lambda m: (bin(m).count("1"), users(m))):
+        members = [k for k in range(K) if pool >> k & 1]
+        left = {k: pending[pool][k] for k in members}
+        if len(members) < start_phase or not any(left.values()):
+            continue
+        outside = [j for j in range(K) if not pool >> j & 1]
+        q_min = min(1.0 - delta[k] * float(np.prod(delta[outside]))
+                    for k in members)
+        length = 0
+        while any(left.values()):
+            chunk = int(min(8192, max(128, 2 * max(left.values()) / q_min)))
+            recv = rng.random((chunk, K)) < 1.0 - delta
+            for slot in recv.tolist():
+                heard = sum(1 << j for j in range(K) if slot[j])
+                for k in members:
+                    if left[k] and (slot[k] or heard & ~pool):
+                        left[k] -= 1
+                        if not slot[k]:
+                            pending[heard | pool][k] += 1
+                            key = (users(pool), users(heard | pool), k + 1)
+                            transfers[key] = transfers.get(key, 0) + 1
+                length += 1
+                if not any(left.values()):
+                    break
+        per_subphase[users(pool)] = length
+        total += length
+    return total, per_subphase, transfers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_simulate_lengths_matches_a_slot_by_slot_replay(K, seed, data):
+    delta = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9])
+                               | st.floats(0.0, 0.95), min_size=K, max_size=K))
+    start = data.draw(st.integers(1, K))
+    if data.draw(st.booleans()):
+        N = K + data.draw(st.integers(0, 2))
+        sizes = data.draw(st.lists(st.integers(0, 40), min_size=N, max_size=N))
+        mem = data.draw(st.lists(st.floats(0.0, N), min_size=K, max_size=K))
+        demand = Demand(data.draw(st.permutations(range(1, N + 1)))[:K])
+        cfg = SystemConfig(K=K, N=N, delta=tuple(delta), mem=tuple(mem),
+                           file_sizes=tuple(sizes))
+        needs = initial_needs(cfg, decentralized_placement(cfg, seed), demand)
+    else:
+        # K <= 3 reaches sizes that take more than one chunk
+        n = data.draw(st.integers(0, 6000 if K <= 3 else 300))
+        needs = order_start_needs(K, data.draw(st.integers(1, K)), n)
+    res = simulate_lengths(K, delta, needs, seed, start_phase=start)
+    total, per_subphase, transfers = replay_lengths(K, delta, needs, seed, start)
+    assert res.slots_total == total
+    assert list(res.slots_per_subphase.items()) == list(per_subphase.items())
+    assert res.realized_transfers == transfers
+
+
 # -- block decoder against one global elimination -----------------------------
 
 
