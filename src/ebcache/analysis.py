@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, inf
+from math import comb, inf, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -70,10 +70,14 @@ def _lattice_max(w: Sequence[float], x: Sequence[float]
     order (1-based), as the longest chain in the subset lattice:
     best(S) = max_{i in S} best(S - i) + w(S) * x_i.  Rounding is monotone,
     so the value equals the largest of the K! float sums.  Ties put the
-    larger index last, so fully tied orders come out ascending."""
+    larger index last, so fully tied orders come out ascending.  A NaN
+    would fail every comparison and leave no order to read back, so
+    non-finite inputs are refused."""
     K = len(w).bit_length() - 1
     if len(x) != K:
         raise ValueError(f"need one value per user: {len(x)} for K = {K}")
+    if not (all(map(isfinite, x)) and all(map(isfinite, w))):
+        raise ValueError("weights and per-user values must be finite")
     best = [0.0] * (1 << K)
     last = [0] * (1 << K)
     for S in range(1, 1 << K):

@@ -17,9 +17,10 @@ Every atom (a packet or a combination) is carried by at most one slot,
 so one atom table, grown with the atom values, holds what the feedback
 told: the receiver set of the slot that carried each atom (`heard`), the
 pool a combination was formed in (`src`), and the last pool the atom was
-seeded into with the users that need it there (`seat`, `want`).  What a
-user heard, the rows it banked in its own pools and the pool where it
-needs each atom are all read from the table.
+seeded into with the users that need it there (`seat`, `want`).  A pool's
+members are the atoms seated in it, in ascending atom id.  What a user
+heard, the rows it banked in its own pools and the pool where it needs
+each atom are all read from the table.
 
 Decoding eliminates each user's banked equations pool by pool.  A pool
 only ever combines atoms (packets and promoted combinations) seeded into
@@ -40,7 +41,7 @@ only elimination routine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -103,12 +104,6 @@ class SimResult:
 
 
 @dataclass
-class _Pool:
-    atoms: list[int] = field(default_factory=list)
-    needed: list[int] = field(default_factory=list)      # user bitmask
-
-
-@dataclass
 class _Rows:
     """One user's equations in CSR layout: the node of each row, entry
     offsets per row, each entry's column and coefficient, and one
@@ -155,11 +150,11 @@ class _Engine:
         self.state_source = state_source
         self.full = (1 << K) - 1
         self.powers = (1 << np.arange(K)).astype(np.int64)
-        self.pools: dict[int, _Pool] = {}
         self.npackets = 0
         # the atom table, packets first, then combinations as sent: value,
         # receiver set of the carrying slot (0 if none), pool of origin
-        # (0 for packets), last pool seeded into and who needs it there
+        # (0 for packets), last pool seeded into and who needs it there.
+        # A pool's members are the atoms seated in it.
         self.vals = np.empty((0, payload_len), dtype=np.uint8)
         self.heard = self.src = self.seat = self.want = _NO_I64
         self.pmask: np.ndarray | None = None            # caching bitmask
@@ -196,10 +191,9 @@ class _Engine:
         """Packet values, (npackets, L)."""
         return self.vals[:self.npackets]
 
-    def seed_item(self, pool_mask: int, atom: int, needed_mask: int) -> None:
-        pool = self.pools.setdefault(pool_mask, _Pool())
-        pool.atoms.append(atom)
-        pool.needed.append(needed_mask)
+    def seed_item(self, pool_mask, atom, needed_mask) -> None:
+        """Seat one atom, or an array of atoms, in a pool (or pools), needed
+        there by the users in `needed_mask`."""
         self.seat[atom] = pool_mask
         self.want[atom] = needed_mask
 
@@ -238,14 +232,14 @@ class _Engine:
         for pool_mask in subsets_ascending(self.K):
             if bin(pool_mask).count("1") < start_phase:
                 continue
-            pool = self.pools.get(pool_mask)
-            if pool is None or not pool.atoms:
+            atoms = np.flatnonzero(self.seat[:self.next_atom] == pool_mask)
+            if not atoms.size:
                 continue
             before = self.slot
             if bin(pool_mask).count("1") == 1:
-                self._run_raw(pool_mask, pool)
+                self._run_raw(pool_mask, atoms)
             else:
-                self._run_multicast(pool_mask, pool)
+                self._run_multicast(pool_mask, atoms)
             self.slots_per_subphase[users_of(pool_mask)] = self.slot - before
 
     def _record_transfer(self, src: int, dst: int, needed_mask: int) -> None:
@@ -255,10 +249,10 @@ class _Engine:
                 key = (key_src, key_dst, k0 + 1)
                 self.transfers[key] = self.transfers.get(key, 0) + 1
 
-    def _run_raw(self, pool_mask: int, pool: _Pool) -> None:
+    def _run_raw(self, pool_mask: int, atoms: np.ndarray) -> None:
         """Broadcast each raw packet until at least one user receives it."""
         k0 = pool_mask.bit_length() - 1
-        for atom in pool.atoms:
+        for atom in atoms.tolist():
             while True:
                 self.slot += 1
                 S = self._state()
@@ -275,9 +269,8 @@ class _Engine:
                     self._trace(pool_mask, S, "promote")
                 break
 
-    def _run_multicast(self, pool_mask: int, pool: _Pool) -> None:
-        atoms = np.asarray(pool.atoms, dtype=np.int64)
-        needed = np.asarray(pool.needed, dtype=np.int64)
+    def _run_multicast(self, pool_mask: int, atoms: np.ndarray) -> None:
+        needed = self.want[atoms]
         r = [int(np.count_nonzero(needed >> k0 & 1)) for k0 in range(self.K)]
         active = sum(1 << k0 for k0 in range(self.K) if r[k0])
         # atoms still wanted by an active user, shared by the combinations
@@ -667,16 +660,12 @@ def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
     off = _file_offsets(cfg)
     pmask = np.concatenate([m.astype(np.int64) for m in pm.cache_masks])
     eng.set_packets(int(off[-1]), pmask)
-    for k in range(1, cfg.K + 1):
-        k0 = k - 1
-        fi = demand.file_of(k) - 1
+    for k0 in range(cfg.K):
+        fi = demand.file_of(k0 + 1) - 1
         ids = np.arange(off[fi], off[fi + 1])
         eng.must_decode[k0] = ids
-        masks = pmask[off[fi]:off[fi + 1]]
-        for pid, mce in zip(ids.tolist(), masks.tolist()):
-            if mce >> k0 & 1:
-                continue
-            eng.seed_item(int(mce) | (1 << k0), pid, 1 << k0)
+        free = ids[(pmask[ids] >> k0 & 1) == 0]
+        eng.seed_item(pmask[free] | 1 << k0, free, 1 << k0)
     eng.run(start_phase=start_phase)
     return eng
 
@@ -689,20 +678,13 @@ def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
     if not 1 <= order <= K:
         raise DeliveryError("order out of range")
     eng = _Engine(K, delta, seed, q=q, payload_len=payload_len)
-    groups = list(combinations(range(1, K + 1), order))
+    groups = [mask_of(g) for g in combinations(range(1, K + 1), order)]
     npackets = n_packets * len(groups)
     eng.set_packets(npackets, np.zeros(npackets, dtype=np.int64))
-    want: list[list[int]] = [[] for _ in range(K)]
-    pid = 0
-    for g in groups:
-        gm = mask_of(g)
-        for _ in range(n_packets):
-            eng.seed_item(gm, pid, gm)
-            for k in g:
-                want[k - 1].append(pid)
-            pid += 1
+    seats = np.repeat(np.asarray(groups, dtype=np.int64), n_packets)
+    eng.seed_item(seats, np.arange(npackets), seats)
     for k0 in range(K):
-        eng.must_decode[k0] = np.asarray(want[k0], dtype=np.int64)
+        eng.must_decode[k0] = np.flatnonzero(seats >> k0 & 1)
     eng.run(start_phase=order)
     return _finish(eng, decode, cleanup_budget)
 

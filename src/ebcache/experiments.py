@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
 from . import analysis, fastsim
-from .model import Demand, SystemConfig, validate_config
+from .model import SystemConfig, validate_config
 from .placement import centralized_placement, decentralized_placement
 
 DEFAULT_TRIALS = 20
@@ -52,26 +52,22 @@ def trial_seeds(seed: int | np.random.SeedSequence) -> tuple[int, int]:
 
 
 def _one_trial(args) -> float:
-    cfg, demand, scheme, start_phase, pseed, sseed = args
+    cfg, scheme, pseed, sseed = args
     if scheme == "centralized":
         pm = centralized_placement(cfg)
     else:
         pm = decentralized_placement(cfg, pseed)
-    res = fastsim.run_delivery_lengths(cfg, pm, demand, seed=sseed,
-                                       start_phase=start_phase)
+    res = fastsim.run_delivery_lengths(cfg, pm, seed=sseed)
     return res.slots_total / cfg.mean_file_size
 
 
-def monte_carlo(cfg: SystemConfig, demand: Demand | None = None,
-                trials: int = DEFAULT_TRIALS, seed: int = 0,
-                scheme: str = "decentralized", start_phase: int = 1,
-                jobs: int = 1) -> MonteCarloResult:
+def monte_carlo(cfg: SystemConfig, trials: int = DEFAULT_TRIALS, seed: int = 0,
+                scheme: str = "decentralized", jobs: int = 1
+                ) -> MonteCarloResult:
     """Mean delivery length in file units over independent seeded trials,
-    with a 95% confidence half-width.  Demands default to user k
-    requesting file k."""
+    with a 95% confidence half-width.  User k requests file k."""
     children = np.random.SeedSequence(seed).spawn(trials)
-    tasks = [(cfg, demand, scheme, start_phase, *trial_seeds(child))
-             for child in children]
+    tasks = [(cfg, scheme, *trial_seeds(child)) for child in children]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             values = list(pool.map(_one_trial, tasks))
@@ -118,6 +114,10 @@ class SweepSpec:
             raise ValueError("F must be >= 1")
         if self.varying not in ("delta", "mem", "K"):
             raise ValueError(f"cannot vary {self.varying!r}")
+        if self.varying == "K" and not all(float(v).is_integer()
+                                           for v in self.grid):
+            raise ValueError(f"K grid values must be whole numbers: "
+                             f"{self.grid}")
 
 
 SWEEP_COLUMNS = ["param", "T_fb", "T_nofb", "T_cent", "T_sim_mean",
@@ -198,6 +198,8 @@ def optimize_memory(cfg: SystemConfig, budget: float, step: float
     """Exhaustive search over the discretized simplex sum(M_k) = budget
     for the allocation minimizing the planned delivery length; also
     reports the closed-form minimizer as the companion lower bound."""
+    if not (isfinite(budget) and isfinite(step)):
+        raise ValueError("budget and step must be finite")
     if not 0 <= budget <= cfg.K * cfg.N:
         raise ValueError("budget outside [0, K*N]")
     if not step > 0:

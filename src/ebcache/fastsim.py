@@ -7,6 +7,10 @@ equations themselves.  Distributionally identical slot counts at a small
 fraction of the cost, which is what makes file sizes of 10^5 practical
 for Monte Carlo runs.
 
+The needs table is a (2^K, K) int64 array: row J, column k0 holds the
+equations user k0 + 1 still needs from pool J (a bitmask of users).  Only
+members count, so entries outside a pool, and row 0, are ignored.
+
 Sub-phases run in `subsets_ascending` order.  Each draws chunks of
 channel states, every member of the pool served by the same chunk: one
 cumulative sum over the (slot, member) progress matrix gives each
@@ -34,9 +38,9 @@ _SLOTS = np.arange(_CHUNK)[:, None]
 
 
 def initial_needs(cfg: SystemConfig, pm: PlacementMap,
-                  demand: Demand | None = None) -> dict[int, np.ndarray]:
-    """Per-pool initial outstanding counts: packets of user k's file
-    cached by exactly C are outstanding for k in pool C + {k}."""
+                  demand: Demand | None = None) -> np.ndarray:
+    """The initial needs table: packets of user k's file cached by
+    exactly C are outstanding for k in pool C + {k}."""
     demand = demand or Demand.identity(cfg.K)
     masks = np.arange(1 << cfg.K)
     needs = np.zeros((1 << cfg.K, cfg.K), dtype=np.int64)
@@ -45,25 +49,20 @@ def initial_needs(cfg: SystemConfig, pm: PlacementMap,
         free = (masks & bit) == 0
         counts = pm.subset_counts(demand.file_of(k))
         needs[masks[free] | bit, k - 1] = counts[free]
-    return {m: needs[m] for m in range(1, 1 << cfg.K)}
-
-
-def order_start_needs(K: int, order: int, n_packets: int) -> dict[int, np.ndarray]:
-    """Seed every subset of the given size with packets all its members
-    still need."""
-    needs = {m: np.zeros(K, dtype=np.int64) for m in range(1, 1 << K)}
-    for m in range(1, 1 << K):
-        if bin(m).count("1") != order:
-            continue
-        for k0 in range(K):
-            if m >> k0 & 1:
-                needs[m][k0] = n_packets
     return needs
 
 
-def simulate_lengths(K: int, delta, needs: dict[int, np.ndarray], seed: int,
+def order_start_needs(K: int, order: int, n_packets: int) -> np.ndarray:
+    """The needs table that seeds every subset of the given size with
+    packets all its members still need."""
+    inpool = np.arange(1 << K)[:, None] >> np.arange(K) & 1
+    full = inpool.sum(axis=1, keepdims=True) == order
+    return np.where(full, inpool * n_packets, 0)
+
+
+def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int,
                      start_phase: int = 1) -> SimResult:
-    """Slot counts for the whole delivery given initial per-pool needs."""
+    """Slot counts for the whole delivery given the initial needs table."""
     delta = checked_delta(K, delta)
     if not 1 <= start_phase <= K:
         raise DeliveryError("start_phase out of range")
@@ -78,11 +77,7 @@ def simulate_lengths(K: int, delta, needs: dict[int, np.ndarray], seed: int,
         silent[~inpool[:, j]] *= delta[j]
     q_min = 1.0 - np.where(inpool, delta, 0.0).max(axis=1) * silent
     # pending[t, k0]: equations member k0 of pool t still needs from it
-    pending = np.zeros((1 << K, K), dtype=np.int64)
-    for m in range(1, 1 << K):
-        if m in needs:
-            pending[m] = needs[m]
-    pending[~inpool] = 0
+    pending = np.where(inpool, needs, 0)
     flat = pending.reshape(-1)
     cells = flat.size
     moved, weights = [], []         # promotions as pool * cells + t * K + k0

@@ -157,10 +157,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _whole(value, name: str) -> int:
+    """`value` as an int, or ConfigError naming the field unless it is a
+    whole number (an int, or a float with no fractional part)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"invalid config: {name} must be a whole number, "
+                          f"got {value!r}")
+    return int(value)
+
+
 def config_from_dict(doc: dict) -> SystemConfig:
     """Build and validate a SystemConfig from a parsed JSON document.
 
-    Unknown keys are rejected so typos never pass silently.
+    Unknown keys are rejected so typos never pass silently, and so are
+    counts that are not whole numbers, which would otherwise be truncated.
     """
     unknown = set(doc) - CONFIG_KEYS
     if unknown:
@@ -169,12 +181,13 @@ def config_from_dict(doc: dict) -> SystemConfig:
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     cfg = SystemConfig(
-        K=int(doc["K"]),
-        N=int(doc["N"]),
+        K=_whole(doc["K"], "K"),
+        N=_whole(doc["N"], "N"),
         delta=tuple(doc["delta"]),
         mem=tuple(doc["mem"]),
-        file_sizes=tuple(doc["file_sizes"]),
-        field_order=int(doc.get("field_order", 256)),
+        file_sizes=tuple(_whole(f, f"file_sizes[{i + 1}]")
+                         for i, f in enumerate(doc["file_sizes"])),
+        field_order=_whole(doc.get("field_order", 256), "field_order"),
     )
     res = validate_config(cfg)
     if not res.ok:

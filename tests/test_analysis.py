@@ -15,7 +15,9 @@ from ebcache.analysis import (DegenerateRegionError, decomposition_residual,
                               subphase_length_alternating, symmetric_vertex,
                               ttot_centralized, ttot_closed_form,
                               ttot_no_feedback, two_user_region, worst_user)
-from ebcache.model import RateVector, SystemConfig
+from ebcache.fastsim import initial_needs
+from ebcache.model import Demand, RateVector, SystemConfig
+from ebcache.placement import PlacementMap
 
 
 def cfg_of(delta, p, N=None, sizes=None):
@@ -102,6 +104,43 @@ def test_lattice_maximum_rejects_wrong_rate_count():
     for rates in ((0.1,), (0.1, 0.1, 0.1)):
         with pytest.raises(ValueError, match="one value per user"):
             feasibility(TOY, RateVector(rates))
+
+
+@pytest.mark.parametrize("w, x", [
+    ([0.0, 0.5, 0.5, 0.3], [float("nan"), float("nan")]),
+    ([0.0, 0.5, 0.5, 0.3], [float("inf"), 0.1]),
+    ([0.0, 0.5, float("nan"), 0.3], [1.0, 1.0]),
+])
+def test_lattice_maximum_rejects_non_finite_inputs(w, x):
+    # a NaN fails every comparison, so no order could be read back
+    with pytest.raises(ValueError, match="finite"):
+        analysis._lattice_max(w, x)
+
+
+def test_phase_plan_with_exact_placement_equals_expected_plan():
+    # p = 1/2 and file i holding 8 m_i packets, one per caching subset of
+    # three users repeated m_i times: every realized subset count equals
+    # its expectation, so the realized plan is the expected one
+    m = (1, 2, 3)
+    cfg = SystemConfig(K=3, N=3, delta=(0.2, 0.35, 0.5), mem=(1.5,) * 3,
+                       file_sizes=tuple(8 * mi for mi in m))
+    pm = PlacementMap("decentralized", 3,
+                      [np.tile(np.arange(8, dtype=np.uint32), mi) for mi in m])
+    demand = Demand((2, 3, 1))
+    want = phase_plan(cfg, demand)
+    got = phase_plan(cfg, demand, placement=pm)
+    assert list(got.t_sub) == list(want.t_sub)
+    for J, t in want.t_sub.items():
+        assert got.t_sub[J] == pytest.approx(t, rel=1e-12, abs=1e-12)
+    for key, t in want.t_user.items():
+        assert got.t_user[key] == pytest.approx(t, rel=1e-12, abs=1e-12)
+    assert got.total == pytest.approx(want.total, rel=1e-12)
+    assert got.total != pytest.approx(phase_plan(cfg, placement=pm).total)
+    # the simulator starts from the same counts: m of the demanded file in
+    # every pool holding the user, none elsewhere
+    inpool = np.arange(8)[:, None] >> np.arange(3) & 1
+    sizes = np.array([m[demand.file_of(k) - 1] for k in (1, 2, 3)])
+    assert initial_needs(cfg, pm, demand).tolist() == (inpool * sizes).tolist()
 
 
 def _brute_max(cfg, x):

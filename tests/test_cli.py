@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import pytest
 
+from ebcache import analysis
 from ebcache.cli import main
 from ebcache.delivery import run_delivery
-from ebcache.experiments import trial_seeds
-from ebcache.model import load_config
-from ebcache.placement import decentralized_placement
+from ebcache.experiments import SWEEP_COLUMNS, trial_seeds
+from ebcache.model import Demand, load_config
+from ebcache.placement import centralized_placement, decentralized_placement
 
 TWO_USER = {"K": 2, "N": 2, "delta": [0.25, 0.5], "mem": [2 / 3, 4 / 3],
         "file_sizes": [1, 1]}
@@ -210,12 +211,105 @@ def test_decode_failure_is_exit_2(capsys, tmp_path):
     ["optimize-mem", "--budget", "2", "--step", "0"],
     ["sweep", "--vary", "mem", "--grid", "0", "--trials", "2", "--jobs", "1",
      "--F", "0"],
+    ["feasible", "--rates", "nan,nan"],
+    ["optimize-mem", "--budget", "4", "--step", "inf"],
+    ["feasible", "--rates", "inf,0.1"],
+    ["sweep", "--vary", "K", "--grid", "2.5", "--trials", "2", "--jobs", "1",
+     "--F", "10"],
 ])
 def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
     code = main([argv[0], "--config", two_user, *argv[1:]])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasible", "--rates", "0.1"],
+    ["feasible", "--rates", "0.1,0.1,0.1"],
+    ["plan", "--demand", "1,1"],
+    ["ttot", "--demand", "1,3"],
+    ["simulate", "--demand", "2"],
+    ["simulate", "--demand", "x,1"],
+    ["simulate", "--length-only", "--trace", "trace.csv"],
+    ["simulate", "--scheme", "centralized"],      # b = M K / N = 2/3
+])
+def test_bad_inputs_are_exit_1(capsys, monkeypatch, tmp_path, two_user, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main([argv[0], "--config", two_user, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and not captured.out
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_config_count_that_is_not_whole_is_exit_1(capsys, tmp_path):
+    bad = tmp_path / "frac.json"
+    bad.write_text(json.dumps({**TWO_USER, "file_sizes": [10.7, 20.2]}))
+    assert main(["plan", "--config", str(bad)]) == 1
+    assert "file_sizes[1] must be a whole number" in capsys.readouterr().err
+
+
+def test_demand_flag_sets_who_wants_which_file(capsys, tmp_path):
+    path = tmp_path / "uneven.json"
+    path.write_text(json.dumps({"K": 2, "N": 3, "delta": [0.25, 0.5],
+                                "mem": [1, 2], "file_sizes": [10, 20, 40]}))
+    cfg = load_config(str(path))
+    demand = Demand((3, 1))
+    code, out = run(capsys, ["plan", "--config", str(path), "--demand", "3,1"])
+    assert code == 0
+    total = json.loads(out)["total"]
+    assert total == pytest.approx(analysis.phase_plan(cfg, demand).total,
+                                  rel=1e-11)
+    _, out = run(capsys, ["plan", "--config", str(path)])
+    assert json.loads(out)["total"] != pytest.approx(total)
+    code, out = run(capsys, ["simulate", "--config", str(path), "--seed", "4",
+                             "--demand", "3,1"])
+    assert code == 0
+    pseed, dseed = trial_seeds(4)
+    res = run_delivery(cfg, decentralized_placement(cfg, pseed), demand,
+                       seed=dseed)
+    assert json.loads(out)["slots_total"] == res.slots_total
+
+
+def test_region_reports_symmetric_vertex_only_when_symmetric(capsys, sym3,
+                                                              two_user):
+    code, out = run(capsys, ["region", "--config", sym3])
+    assert code == 0
+    want = analysis.symmetric_vertex(3, 0.5, 0.5, range(1, 4)).rates
+    assert json.loads(out)["symmetric_vertex_rates"] == pytest.approx(
+        list(want), rel=1e-11)
+    _, out = run(capsys, ["region", "--config", two_user])
+    assert "symmetric_vertex_rates" not in json.loads(out)
+
+
+def test_sweep_json_output(capsys, tmp_path):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"K": 2, "N": 4, "delta": [0.4, 0.4],
+                                "mem": [0, 0], "file_sizes": [1, 1, 1, 1]}))
+    code, out = run(capsys, ["sweep", "--config", str(base), "--vary", "mem",
+                             "--grid", "0,4", "--trials", "2", "--F", "50",
+                             "--seed", "1", "--jobs", "1", "--output", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["param"] for r in rows] == [0.0, 4.0]
+    assert all(set(r) == set(SWEEP_COLUMNS) for r in rows)
+    assert rows[1]["T_fb"] == 0.0 and rows[1]["T_sim_mean"] == 0.0
+
+
+def test_simulate_centralized_scheme(capsys, tmp_path):
+    path = tmp_path / "cent.json"
+    path.write_text(json.dumps({"K": 2, "N": 2, "delta": [0.3, 0.3],
+                                "mem": [1, 1], "file_sizes": [40, 40]}))
+    code, out = run(capsys, ["simulate", "--config", str(path), "--seed", "3",
+                             "--scheme", "centralized"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["decode_ok"] == [True, True]
+    cfg = load_config(str(path))
+    res = run_delivery(cfg, centralized_placement(cfg), seed=trial_seeds(3)[1])
+    assert doc["slots_total"] == res.slots_total
+    assert doc["slots_per_subphase"] == res.to_json()["slots_per_subphase"]
 
 
 def test_explicit_F_0_is_applied_not_ignored(capsys, sym3):

@@ -212,14 +212,18 @@ def test_both_simulators_reject_start_phase_outside_1_to_K(engine, start_phase):
 def test_seeded_outputs_are_pinned():
     # Recorded before the engine's atom table replaced its per-user lists.
     # A change that moves these on purpose (a new draw order, say)
-    # records them again and says why.
+    # records them again and says why.  The q=2 cleanup count was recorded
+    # again (23 -> 7, total 71 -> 55) when a multicast pool's members came
+    # to be taken in ascending atom id rather than seeding order: only the
+    # pairing of coefficients to atoms moved, so a different number of
+    # binary combinations fell short of full rank.
     cfg = SystemConfig(K=3, N=3, delta=(0.3, 0.4, 0.5), mem=(1.2, 1.5, 1.8),
                        file_sizes=(40,) * 3, field_order=2)
     res = run_delivery(cfg, decentralized_placement(cfg, 11), Demand((2, 3, 1)),
                        seed=12, payload_len=2)
     assert res.slots_per_subphase == {(1,): 5, (2,): 3, (3,): 3, (1, 2): 7,
                                       (1, 3): 5, (2, 3): 9, (1, 2, 3): 16}
-    assert res.cleanup_slots == 23 and res.slots_total == 71
+    assert res.cleanup_slots == 7 and res.slots_total == 55
     assert res.realized_transfers == {
         ((1,), (1, 2, 3), 1): 1, ((1, 2), (1, 2, 3), 1): 2,
         ((1, 2), (1, 2, 3), 2): 2, ((1, 3), (1, 2, 3), 3): 2,
@@ -285,8 +289,8 @@ def test_subphase_slot_rate_matches_progress_probability():
     # q = 1 - delta_k * prod(delta outside the pool)
     K, n = 3, 20_000
     delta = (0.3, 0.6, 0.8)
-    needs = {m: np.zeros(K, dtype=np.int64) for m in range(1, 1 << K)}
-    needs[0b011][0] = n
+    needs = np.zeros((1 << K, K), dtype=np.int64)
+    needs[0b011, 0] = n
     res = simulate_lengths(K, delta, needs, seed=5)
     q = 1 - delta[0] * delta[2]
     mean = n / q
@@ -340,8 +344,13 @@ def test_length_convergence_toward_plan():
 
 def test_order_start_needs_shape():
     needs = order_start_needs(3, 2, 7)
+    assert needs.shape == (8, 3) and needs.dtype == np.int64
     assert needs[0b011].tolist() == [7, 7, 0]
     assert needs[0b111].tolist() == [0, 0, 0]
+    K, order, n = 5, 3, 4
+    want = [[n if bin(m).count("1") == order and m >> k0 & 1 else 0
+             for k0 in range(K)] for m in range(1 << K)]
+    assert order_start_needs(K, order, n).tolist() == want
 
 
 def test_initial_needs_match_placement_counts():
@@ -351,7 +360,7 @@ def test_initial_needs_match_placement_counts():
     c1 = pm.subset_counts(1)
     assert needs[0b01][0] == c1[0b00]
     assert needs[0b11][0] == c1[0b10]
-    total_for_user1 = sum(needs[m][0] for m in needs)
+    total_for_user1 = needs[:, 0].sum()
     assert total_for_user1 == int(np.count_nonzero(
         (pm.cache_masks[0] & 1) == 0))
 
@@ -364,13 +373,12 @@ def test_initial_needs_count_every_uncached_demanded_packet(scheme):
     pm = (centralized_placement(cfg) if scheme == "centralized"
           else decentralized_placement(cfg, 31))
     demand = Demand((4, 1, 5, 2))
-    want = {m: [0] * 4 for m in range(1, 16)}
+    want = [[0] * 4 for _ in range(16)]
     for k in range(1, 5):
         for c in pm.cache_masks[demand.file_of(k) - 1].tolist():
             if not c >> (k - 1) & 1:
                 want[c | 1 << (k - 1)][k - 1] += 1
-    got = initial_needs(cfg, pm, demand)
-    assert {m: v.tolist() for m, v in got.items()} == want
+    assert initial_needs(cfg, pm, demand).tolist() == want
 
 
 def replay_lengths(K, delta, needs, seed, start_phase):
@@ -379,8 +387,7 @@ def replay_lengths(K, delta, needs, seed, start_phase):
     then visited in plain Python, each member counted one at a time."""
     rng = np.random.default_rng(seed)
     delta = np.asarray(delta, dtype=float)
-    pending = {m: [int(x) for x in needs.get(m, [0] * K)]
-               for m in range(1, 1 << K)}
+    pending = needs.tolist()
     users = lambda m: tuple(j + 1 for j in range(K) if m >> j & 1)
     per_subphase, transfers, total = {}, {}, 0
     for pool in sorted(range(1, 1 << K),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,31 @@ def test_config_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError, match="invalid"):
         config_from_dict({"K": 1, "N": 1, "delta": [1.0], "mem": [0],
                           "file_sizes": [1]})
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("K", 2.9, "K"),
+    ("N", 2.5, "N"),
+    ("field_order", 2.5, "field_order"),
+    ("file_sizes", [10.7, 20.2], "file_sizes[1]"),
+    ("file_sizes", [10, 20.2], "file_sizes[2]"),
+    ("file_sizes", [10, float("inf")], "file_sizes[2]"),
+    ("K", True, "K"),
+])
+def test_config_rejects_counts_that_are_not_whole_numbers(key, value, name):
+    doc = {"K": 2, "N": 2, "delta": [0.2, 0.2], "mem": [0, 0],
+           "file_sizes": [10, 20], key: value}
+    with pytest.raises(ConfigError, match=re.escape(name) + " must be a whole number"):
+        config_from_dict(doc)
+
+
+def test_config_accepts_whole_floats():
+    cfg = config_from_dict({"K": 2.0, "N": 2, "delta": [0.2, 0.2],
+                            "mem": [0, 0], "file_sizes": [10.0, 20],
+                            "field_order": 2.0})
+    assert (cfg.K, cfg.file_sizes, cfg.field_order) == (2, (10, 20), 2)
+    assert all(type(v) is int for v in (cfg.K, *cfg.file_sizes,
+                                        cfg.field_order))
 
 
 def test_subsets_ascending_order():
