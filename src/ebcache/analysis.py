@@ -29,7 +29,6 @@ from .placement import PlacementMap
 MAX_PERMUTATION_K = 8
 FEASIBILITY_TOL = 1e-9    # slack on the largest inequality's left-hand side
 DOMINANCE_TOL = 1e-12     # slack of permutation_dominance over the identity
-VERTEX_TOL = 1e-9         # slack of region_vertices' nonnegativity and planes
 IDENTITY_TOL = 1e-9       # largest residual IdentityReport.ok accepts
 
 
@@ -433,40 +432,6 @@ def permutation_dominance(cfg: SystemConfig, r: RateVector) -> bool:
         raise ValueError("identity inequality has nonpositive LHS")
     top, _ = _lattice_max(w, r.rates)
     return top * (1.0 / lhs_id) <= 1.0 + DOMINANCE_TOL
-
-
-def region_vertices(cfg: SystemConfig) -> list[tuple[float, ...]]:
-    """Vertices of the rate region polytope by brute-force intersection;
-    refused above K = 4."""
-    if cfg.K > 4:
-        raise ValueError("vertex enumeration restricted to K <= 4")
-    K = cfg.K
-    rows = region_inequalities(cfg)
-    planes = []
-    for row in rows:
-        a = np.zeros(K)
-        for pos, u in enumerate(row["perm"]):
-            a[u - 1] = row["coeffs"][pos]
-        planes.append((a, 1.0))
-    for i in range(K):
-        a = np.zeros(K)
-        a[i] = 1.0
-        planes.append((a, 0.0))
-    verts: list[tuple[float, ...]] = []
-    for chosen in itertools.combinations(range(len(planes)), K):
-        A = np.array([planes[i][0] for i in chosen])
-        b = np.array([planes[i][1] for i in chosen])
-        if abs(np.linalg.det(A)) < 1e-12:
-            continue
-        x = np.linalg.solve(A, b)
-        if (x < -VERTEX_TOL).any():
-            continue
-        ok = all(a @ x <= bb + VERTEX_TOL for a, bb in planes[:len(rows)])
-        if not ok:
-            continue
-        if not any(np.allclose(x, np.array(v), atol=1e-9) for v in verts):
-            verts.append(tuple(float(t) for t in x))
-    return sorted(verts)
 
 
 def random_one_sided_fair(K: int, rng: np.random.Generator,

@@ -3,8 +3,15 @@
 Phases run in ascending target-set cardinality, sub-phases in
 lexicographic order.  Sub-phase {k} broadcasts the raw uncached packets of
 user k's file until somebody hears each one; larger sub-phases send fresh
-random GF(2^8) combinations of every symbol still outstanding in the
-pool.  After each slot the realized receiver set drives the bookkeeping:
+random GF(2^8) combinations.  In a pool where every symbol has one
+wanting member, the other members know it, so a combination takes the
+next symbol of each active member, in ascending atom id, with a nonzero
+coefficient, and leaves each receiver one unknown (the XOR scheme of
+Georgiadis & Tassiulas, generalised by Wang and by Gatzianas et al.).  A
+pool where some symbol has several wanting members combines every symbol
+an active member wants.  Either way each member progresses on the same
+events, so the slots do not depend on the choice.  After each slot the
+realized receiver set drives the bookkeeping:
 
   * a needing receiver banks the equation and its counter drops;
   * if an outsider overheard while some needing user missed the slot, the
@@ -217,8 +224,8 @@ class _Engine:
         return int(((self.chan_rng.random(self.K) < (1.0 - self.delta))
                     @ self.powers))
 
-    def _coefs(self, n: int) -> np.ndarray:
-        return self.coef_rng.integers(0, self.q, n, dtype=np.uint8)
+    def _coefs(self, n: int, nonzero: bool = False) -> np.ndarray:
+        return self.coef_rng.integers(int(nonzero), self.q, n, dtype=np.uint8)
 
     def _trace(self, pool_mask: int, S: int, action: str) -> None:
         if self.trace is not None:
@@ -273,20 +280,32 @@ class _Engine:
         needed = self.want[atoms]
         r = [int(np.count_nonzero(needed >> k0 & 1)) for k0 in range(self.K)]
         active = sum(1 << k0 for k0 in range(self.K) if r[k0])
-        # atoms still wanted by an active user, shared by the combinations
-        # sent until the active set changes
-        act_atoms = atoms[np.nonzero(needed & active)[0]]
-        act_vals = self.vals[act_atoms]
+        # with one wanting member per atom the others know it, so each
+        # active member's next atom (ascending id) goes in, else every atom
+        # an active member wants
+        single = not (needed & (needed - 1)).any()
+        if single:
+            atoms = atoms[np.argsort(needed, kind="stable")]
+            end = np.cumsum(r).tolist()       # member k's atoms end here
+        support = None
         while active:
             self.slot += 1
-            coefs = self._coefs(len(act_atoms))
+            if support is None:
+                # the atoms combined until a head or the active set moves
+                if single:
+                    support = atoms[[end[k - 1] - r[k - 1]
+                                     for k in users_of(active)]]
+                else:
+                    support = atoms[np.nonzero(needed & active)[0]]
+                vals = self.vals[support]
+            coefs = self._coefs(len(support), nonzero=single)
             S = self._state()
             got = S & active
             moved = (active & ~S) if (S & ~pool_mask) else 0
             if S:
                 # a slot nobody heard needs no payload, and moves nothing
-                atom = self._new_combo(pool_mask, S, act_atoms, coefs,
-                                       gf_dot(coefs, act_vals))
+                atom = self._new_combo(pool_mask, S, support, coefs,
+                                       gf_dot(coefs, vals))
                 if moved:
                     target = pool_mask | S
                     self.seed_item(target, atom, moved)
@@ -303,10 +322,9 @@ class _Engine:
                 r[k - 1] -= 1
                 if not r[k - 1]:
                     finished |= 1 << (k - 1)
-            if finished:
-                active &= ~finished
-                act_atoms = atoms[np.nonzero(needed & active)[0]]
-                act_vals = self.vals[act_atoms]
+            active &= ~finished
+            if finished or single and got | moved:
+                support = None
 
     # -- decoding ----------------------------------------------------------
 

@@ -168,12 +168,27 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _numbers(value, name: str) -> list:
+    """`value`, or ConfigError naming the field unless it is a JSON list
+    of numbers (a bool or a string is not a number)."""
+    if not isinstance(value, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in value):
+        raise ConfigError(f"invalid config: {name} must be a list of "
+                          f"numbers, got {value!r}")
+    return value
+
+
 def config_from_dict(doc: dict) -> SystemConfig:
     """Build and validate a SystemConfig from a parsed JSON document.
 
     Unknown keys are rejected so typos never pass silently, and so are
-    counts that are not whole numbers, which would otherwise be truncated.
+    counts that are not whole numbers, which would otherwise be truncated,
+    and lists that hold anything but numbers.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"invalid config: expected a JSON object, got "
+                          f"{type(doc).__name__}")
     unknown = set(doc) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -183,10 +198,10 @@ def config_from_dict(doc: dict) -> SystemConfig:
     cfg = SystemConfig(
         K=_whole(doc["K"], "K"),
         N=_whole(doc["N"], "N"),
-        delta=tuple(doc["delta"]),
-        mem=tuple(doc["mem"]),
-        file_sizes=tuple(_whole(f, f"file_sizes[{i + 1}]")
-                         for i, f in enumerate(doc["file_sizes"])),
+        delta=tuple(_numbers(doc["delta"], "delta")),
+        mem=tuple(_numbers(doc["mem"], "mem")),
+        file_sizes=tuple(_whole(f, f"file_sizes[{i + 1}]") for i, f in
+                         enumerate(_numbers(doc["file_sizes"], "file_sizes"))),
         field_order=_whole(doc.get("field_order", 256), "field_order"),
     )
     res = validate_config(cfg)

@@ -10,8 +10,8 @@ from ebcache.analysis import (DegenerateRegionError, decomposition_residual,
                               feasibility, miso_dof_coefficient,
                               order_capacity, permutation_dominance,
                               phase_plan, random_one_sided_fair,
-                              region_inequalities, region_vertices,
-                              region_weight, start_phase_tables,
+                              region_inequalities, region_weight,
+                              start_phase_tables,
                               subphase_length_alternating, symmetric_vertex,
                               ttot_centralized, ttot_closed_form,
                               ttot_no_feedback, two_user_region, worst_user)
@@ -376,19 +376,3 @@ def test_permutation_dominance_symmetric_and_two_user():
     from ebcache.model import is_one_sided_fair
     assert is_one_sided_fair(cfg, rates)
     assert permutation_dominance(cfg, rates)
-
-
-def test_region_vertices_two_user_matches_region():
-    verts = region_vertices(TOY)
-    r = two_user_region(TOY)
-    for v in r.vertices:
-        assert any(np.allclose(v, w, atol=1e-9) for w in verts)
-    with pytest.raises(ValueError):
-        region_vertices(cfg_of((.1,) * 5, (.1,) * 5))
-
-
-def test_region_vertices_symmetric_three_user_contains_symmetric_point():
-    cfg = cfg_of((.5,) * 3, (.5,) * 3)
-    verts = region_vertices(cfg)
-    sym = symmetric_vertex(3, .5, .5, [1, 2, 3]).rates
-    assert any(np.allclose(v, sym, atol=1e-9) for v in verts)

@@ -191,11 +191,14 @@ def test_unsupported_field_order_is_exit_1(capsys, tmp_path):
 
 
 def test_decode_failure_is_exit_2(capsys, tmp_path):
+    # Only pools where several members want one atom can need cleanup, and
+    # at K=2 there are none.  F=7, --seed 4 is the smallest F, then seed
+    # (F = 1..59, seeds 0..9), of this K=3, q=2 config that needs it.
     cfgp = tmp_path / "q2.json"
-    cfgp.write_text(json.dumps({"K": 2, "N": 2, "delta": [0.2, 0.2],
-                                "mem": [1, 1], "file_sizes": [24, 24],
+    cfgp.write_text(json.dumps({"K": 3, "N": 3, "delta": [0.2] * 3,
+                                "mem": [1.5] * 3, "file_sizes": [7] * 3,
                                 "field_order": 2}))
-    code = main(["simulate", "--config", str(cfgp), "--seed", "0",
+    code = main(["simulate", "--config", str(cfgp), "--seed", "4",
                  "--cleanup-budget", "0"])
     assert code == 2
 
@@ -248,6 +251,28 @@ def test_config_count_that_is_not_whole_is_exit_1(capsys, tmp_path):
     bad.write_text(json.dumps({**TWO_USER, "file_sizes": [10.7, 20.2]}))
     assert main(["plan", "--config", str(bad)]) == 1
     assert "file_sizes[1] must be a whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {**TWO_USER, "delta": 0.3},
+    {**TWO_USER, "file_sizes": 5},
+    {**TWO_USER, "mem": None},
+    {**TWO_USER, "delta": [None, 0.3]},
+    {**TWO_USER, "delta": ["0.3", 0.3]},
+    {**TWO_USER, "mem": "1,1"},
+    {**TWO_USER, "delta": [True, 0.3]},
+    {**TWO_USER, "file_sizes": [False, 1]},
+    [1, 2],
+    "config",
+    3,
+])
+def test_config_of_the_wrong_json_type_is_exit_1(capsys, tmp_path, doc):
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["plan", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid config: ")
+    assert "Traceback" not in captured.err and not captured.out
 
 
 def test_demand_flag_sets_who_wants_which_file(capsys, tmp_path):

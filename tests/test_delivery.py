@@ -14,7 +14,8 @@ from ebcache.experiments import trial_seeds
 from ebcache.gf256 import MUL, InconsistentSystemError, rref
 from ebcache.fastsim import (initial_needs, order_start_needs,
                              run_delivery_lengths, simulate_lengths)
-from ebcache.model import Demand, SystemConfig
+from ebcache.model import (Demand, SystemConfig, mask_of, subsets_ascending,
+                           users_of)
 from ebcache.placement import centralized_placement, decentralized_placement
 
 
@@ -130,21 +131,26 @@ def test_determinism_same_seed_same_result():
                for k in a.recovered)
 
 
+# Only a pool holding an atom that several members want sends dense
+# combinations that can fall short of rank, and at K=2 none does.  This is
+# the smallest F, then seed (placement and delivery alike, F = 1..59,
+# seeds 0..9), of K=3, q=2, δ=0.2, p=0.5 that needs cleanup.
+CLEANUP_CFG = cfg_of((0.2,) * 3, (0.5,) * 3, 10, q=2)
+
+
 def test_binary_field_forces_cleanup_then_succeeds():
-    cfg = cfg_of((0.2, 0.2), (0.5, 0.5), 24, q=2)
-    pm = decentralized_placement(cfg, 0)
-    res = run_delivery(cfg, pm, seed=0)
+    pm = decentralized_placement(CLEANUP_CFG, 0)
+    res = run_delivery(CLEANUP_CFG, pm, seed=0)
     assert res.cleanup_slots >= 1
-    assert res.decode_ok == [True, True]
+    assert res.decode_ok == [True] * 3
     assert res.slots_total == (sum(res.slots_per_subphase.values())
                                + res.cleanup_slots)
 
 
 def test_cleanup_budget_zero_is_a_hard_failure():
-    cfg = cfg_of((0.2, 0.2), (0.5, 0.5), 24, q=2)
-    pm = decentralized_placement(cfg, 0)
+    pm = decentralized_placement(CLEANUP_CFG, 0)
     with pytest.raises(CleanupBudgetExceeded) as err:
-        run_delivery(cfg, pm, seed=0, cleanup_budget=0)
+        run_delivery(CLEANUP_CFG, pm, seed=0, cleanup_budget=0)
     # conservation: the failure names what is missing
     assert err.value.unresolved
 
@@ -216,14 +222,18 @@ def test_seeded_outputs_are_pinned():
     # again (23 -> 7, total 71 -> 55) when a multicast pool's members came
     # to be taken in ascending atom id rather than seeding order: only the
     # pairing of coefficients to atoms moved, so a different number of
-    # binary combinations fell short of full rank.
+    # binary combinations fell short of full rank.  It was recorded again
+    # (7 -> 4, total 55 -> 52) when pools where each atom has one wanting
+    # member came to send one atom per active member: those rows can no
+    # longer fall short, and the coefficient stream left for the dense
+    # pools moved.  Sub-phase slots, transfers and bytes did not move.
     cfg = SystemConfig(K=3, N=3, delta=(0.3, 0.4, 0.5), mem=(1.2, 1.5, 1.8),
                        file_sizes=(40,) * 3, field_order=2)
     res = run_delivery(cfg, decentralized_placement(cfg, 11), Demand((2, 3, 1)),
                        seed=12, payload_len=2)
     assert res.slots_per_subphase == {(1,): 5, (2,): 3, (3,): 3, (1, 2): 7,
                                       (1, 3): 5, (2, 3): 9, (1, 2, 3): 16}
-    assert res.cleanup_slots == 7 and res.slots_total == 55
+    assert res.cleanup_slots == 4 and res.slots_total == 52
     assert res.realized_transfers == {
         ((1,), (1, 2, 3), 1): 1, ((1, 2), (1, 2, 3), 1): 2,
         ((1, 2), (1, 2, 3), 2): 2, ((1, 3), (1, 2, 3), 3): 2,
@@ -256,6 +266,51 @@ def test_promotions_only_enlarge_the_target_set():
     res = run_delivery(cfg, pm, seed=4, decode=False)
     for (src, dst, _k), n in res.realized_transfers.items():
         assert set(src) < set(dst) and n > 0
+
+
+def _holds(eng, k0: int, atom: int) -> bool:
+    """User k0 + 1 holds the atom: it cached or heard it, needs it itself
+    (and so decodes it), or holds every atom the combination carries."""
+    if eng.heard[atom] >> k0 & 1 or eng.want[atom] >> k0 & 1:
+        return True
+    if atom < eng.npackets:
+        return bool(eng.pmask[atom] >> k0 & 1)
+    ids, cs = eng.combos[atom]
+    return all(_holds(eng, k0, a) for a in ids[cs != 0].tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 30), st.sampled_from([2, 256]),
+       st.integers(0, 10_000), st.data())
+def test_single_want_pools_send_one_atom_per_active_member(K, F, q, seed,
+                                                            data):
+    # In a pool where every atom has one wanting member, each combination
+    # carries the next atom, in ascending id, of every member still active,
+    # with a nonzero coefficient, and every other member holds it.  The
+    # queues are replayed from the receiver set of each slot heard.
+    delta = data.draw(st.lists(st.floats(0.0, 0.8), min_size=K, max_size=K))
+    p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
+    demand = Demand(tuple(data.draw(st.permutations(range(1, K + 1)))))
+    cfg = cfg_of(delta, p, F, q=q)
+    eng = _delivered(cfg, decentralized_placement(cfg, seed), demand, seed + 1)
+    seat, want = eng.seat[:eng.next_atom], eng.want[:eng.next_atom]
+    for J in subsets_ascending(K):
+        members = np.flatnonzero(seat == J)
+        if len(users_of(J)) < 2 or (want[members] & (want[members] - 1)).any():
+            continue
+        queue = {k: members[want[members] == 1 << (k - 1)].tolist()
+                 for k in users_of(J)}
+        for atom in (a for a in eng.combos if eng.src[a] == J):
+            ids, cs = eng.combos[atom]
+            active = [k for k in users_of(J) if queue[k]]
+            assert ids.tolist() == [queue[k][0] for k in active]
+            assert (cs != 0).all()
+            for a, k in zip(ids.tolist(), active):
+                assert all(_holds(eng, j - 1, a) for j in users_of(J) if j != k)
+            S, act = int(eng.heard[atom]), mask_of(active)
+            for k in users_of(S & act | (act & ~S if S & ~J else 0)):
+                queue[k].pop(0)
+        assert not any(queue.values())
 
 
 def test_centralized_delivery_decodes():
