@@ -2,7 +2,7 @@
 and packet-level simulator that cross-validate each other."""
 
 from .model import (Demand, RateVector, SystemConfig,
-                    is_one_sided_fair, load_config, validate_config)
+                    is_one_sided_fair, load_config)
 from .placement import (PlacementMap, centralized_placement,
                         decentralized_placement, unknown_fraction)
 from .delivery import SimResult, run_delivery, run_order_start
@@ -10,7 +10,7 @@ from .fastsim import run_delivery_lengths
 
 __all__ = [
     "Demand", "RateVector", "SystemConfig",
-    "is_one_sided_fair", "load_config", "validate_config",
+    "is_one_sided_fair", "load_config",
     "PlacementMap", "centralized_placement", "decentralized_placement",
     "unknown_fraction", "SimResult", "run_delivery", "run_order_start",
     "run_delivery_lengths",

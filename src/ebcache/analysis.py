@@ -47,10 +47,8 @@ def _subset_products(out: Sequence[float], into: Sequence[float],
 
 def _weights(p: Sequence[float], delta: Sequence[float]) -> list[float]:
     """Region weight w(m) = prod_{i in m}(1-p_i) / (1 - prod_{i in m} delta_i)
-    of every mask m < 2^K, 0.0 on the empty mask."""
-    for i, x in enumerate(delta):
-        if x >= 1.0:
-            raise ValueError(f"delta[{i + 1}] must be < 1")
+    of every mask m < 2^K, 0.0 on the empty mask; SystemConfig keeps
+    every delta_i below 1."""
     ones = [1.0] * len(delta)
     keep = _subset_products(ones, [1.0 - x for x in p])
     erase = _subset_products(ones, delta)

@@ -647,21 +647,20 @@ def _file_offsets(cfg: SystemConfig) -> np.ndarray:
 
 
 def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = None,
-                 seed: int = 0, start_phase: int = 1, decode: bool = True,
-                 payload_len: int = 1, cleanup_budget: int | None = None,
-                 trace: list | None = None,
+                 seed: int = 0, start_phase: int = 1, payload_len: int = 1,
+                 cleanup_budget: int | None = None, trace: list | None = None,
                  state_source: Iterator[int] | None = None) -> SimResult:
     """Execute phases start_phase..K for the given placement and demand.
 
-    Returns slot counts per sub-phase, realized promotion counts, and
-    (when `decode` is set) per-user byte-exact decoding results; a rank
-    shortfall triggers feedback cleanup, and exhausting the cleanup budget
-    raises CleanupBudgetExceeded.
+    Returns slot counts per sub-phase, realized promotion counts and
+    per-user byte-exact decoding results; a rank shortfall triggers
+    feedback cleanup, and exhausting the cleanup budget raises
+    CleanupBudgetExceeded.
     """
     demand = demand or Demand.identity(cfg.K)
     eng = _delivered(cfg, pm, demand, seed, start_phase, payload_len,
                      trace=trace, state_source=state_source)
-    return _finish(eng, decode, cleanup_budget)
+    return _finish(eng, cleanup_budget)
 
 
 def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
@@ -689,10 +688,13 @@ def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
 
 
 def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
-                    decode: bool = False, q: int = 256, payload_len: int = 1,
+                    q: int = 256, payload_len: int = 1,
                     cleanup_budget: int | None = None) -> SimResult:
     """Enter the multicast pipeline at the given phase: every subset of
-    that size is seeded with fresh packets wanted by all its members."""
+    that size is seeded with fresh packets wanted by all its members, and
+    every user decodes.  It is the full-engine oracle of the length-only
+    path `fastsim.simulate_lengths(order_start_needs(...))` that
+    `experiments.order_capacity_trial` runs."""
     if not 1 <= order <= K:
         raise DeliveryError("order out of range")
     eng = _Engine(K, delta, seed, q=q, payload_len=payload_len)
@@ -704,38 +706,34 @@ def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
     for k0 in range(K):
         eng.must_decode[k0] = np.flatnonzero(seats >> k0 & 1)
     eng.run(start_phase=order)
-    return _finish(eng, decode, cleanup_budget)
+    return _finish(eng, cleanup_budget)
 
 
-def _finish(eng: _Engine, decode: bool,
-            cleanup_budget: int | None) -> SimResult:
+def _finish(eng: _Engine, cleanup_budget: int | None) -> SimResult:
     cleanup_slots = 0
-    decode_ok = None
-    recovered: dict[int, np.ndarray] | None = None
-    if decode:
-        budget = (CLEANUP_BUDGET_PER_USER * eng.K if cleanup_budget is None
-                  else cleanup_budget)
-        decode_ok = []
-        recovered = {}
-        for k in range(1, eng.K + 1):
-            solved, unresolved, state = eng.decode_user(k)
-            if unresolved:
-                used, solved, unresolved = eng.cleanup(
-                    k, state, budget - cleanup_slots)
-                cleanup_slots += used
-            if unresolved:
-                raise CleanupBudgetExceeded(
-                    f"user {k} still missing {len(unresolved)} packets "
-                    f"after {cleanup_slots} cleanup slots", {k: unresolved})
-            # every demanded packet the user lacked is now solved
-            ids = eng.must_decode[k - 1]
-            got = eng.values[ids]
-            for i in np.nonzero(~eng._known(k - 1)[ids])[0].tolist():
-                got[i] = solved[int(ids[i])]
-            if not np.array_equal(got, eng.values[ids]):
-                raise DeliveryError(f"user {k} produced wrong bytes (engine bug)")
-            decode_ok.append(True)
-            recovered[k] = got
+    budget = (CLEANUP_BUDGET_PER_USER * eng.K if cleanup_budget is None
+              else cleanup_budget)
+    decode_ok = []
+    recovered = {}
+    for k in range(1, eng.K + 1):
+        solved, unresolved, state = eng.decode_user(k)
+        if unresolved:
+            used, solved, unresolved = eng.cleanup(
+                k, state, budget - cleanup_slots)
+            cleanup_slots += used
+        if unresolved:
+            raise CleanupBudgetExceeded(
+                f"user {k} still missing {len(unresolved)} packets "
+                f"after {cleanup_slots} cleanup slots", {k: unresolved})
+        # every demanded packet the user lacked is now solved
+        ids = eng.must_decode[k - 1]
+        got = eng.values[ids]
+        for i in np.nonzero(~eng._known(k - 1)[ids])[0].tolist():
+            got[i] = solved[int(ids[i])]
+        if not np.array_equal(got, eng.values[ids]):
+            raise DeliveryError(f"user {k} produced wrong bytes (engine bug)")
+        decode_ok.append(True)
+        recovered[k] = got
     return SimResult(
         slots_total=eng.slot,
         slots_per_subphase=eng.slots_per_subphase,

@@ -15,7 +15,7 @@ from math import comb, isfinite, sqrt
 import numpy as np
 
 from . import analysis, fastsim
-from .model import SystemConfig, validate_config
+from .model import ConfigError, SystemConfig
 from .placement import centralized_placement, decentralized_placement
 
 DEFAULT_TRIALS = 20
@@ -150,10 +150,10 @@ def sweep(spec: SweepSpec) -> list[dict]:
     for idx, value in enumerate(spec.grid):
         row: dict = {"param": value, "trials": spec.trials, "F": spec.F,
                      "seed": spec.seed}
-        cfg = _config_at(spec, value)
-        check = validate_config(cfg)
-        if not check.ok:
-            row["error"] = ",".join(check.violations)
+        try:
+            cfg = _config_at(spec, value)
+        except ConfigError as exc:
+            row["error"] = str(exc)
             rows.append(row)
             continue
         F = float(spec.F)

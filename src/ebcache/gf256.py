@@ -50,18 +50,6 @@ INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[255 - LOG[_nz]]
 
 
-def gf_mul(a: int, b: int) -> int:
-    """Product of two field elements."""
-    return int(MUL[a, b])
-
-
-def gf_inv(a: int) -> int:
-    """Multiplicative inverse; a must be nonzero."""
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(2^8)")
-    return int(INV[a])
-
-
 def gf_dot(coefs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """XOR-accumulated product of coefs (n,) with values (n,) or (n, L)."""
     if len(coefs) == 0:

@@ -8,12 +8,24 @@ code works with 0-based indices and bitmasks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from math import inf
+from numbers import Integral, Real
+from typing import Sequence
 
 CONFIG_KEYS = {"K", "N", "delta", "mem", "file_sizes", "field_order"}
 SUPPORTED_FIELD_ORDERS = (2, 256)
+# Upper bounds, so every accepted config runs to completion in bounded
+# time and memory.  `ebcache plan` (2-vCPU x86-64 host, Python 3.11,
+# numpy 2.4) took 8.3, 23 and 70 s at K = 14, 15 and 16, with peak RSS
+# 116, 211 and 409 MB: about 3x per user, so K = 17 would take minutes.
+# `simulate --length-only` at K = N = 16 peaked at 433, 717 and 1169 MB
+# RSS for files of 250k, 500k and 1M packets (15 s at 500k).  The
+# largest size in use elsewhere is 100k packets.
+MAX_K = 16
+MAX_FILE_PACKETS = 500_000
 
 
 def mask_of(users: Iterable[int]) -> int:
@@ -45,10 +57,61 @@ def subsets_ascending(K: int) -> tuple[int, ...]:
                         key=lambda m: (bin(m).count("1"), users_of(m))))
 
 
+class ConfigError(ValueError):
+    pass
+
+
+def _is_number(x) -> bool:
+    """A real number: bool and str are not, numpy scalars are."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _count(x, name: str, bad: list[str], lo: int, hi: float) -> int | None:
+    """`x` as an int in [lo, hi], or None with a violation appended.  A
+    float must be whole; nothing is truncated."""
+    if not (type(x) is int or _is_number(x) and (
+            isinstance(x, Integral) or float(x).is_integer())):
+        bad.append(f"{name} must be a whole number, got {x!r}")
+        return None
+    x = int(x)
+    if lo <= x <= hi:
+        return x
+    bad.append(name)
+    return None
+
+
+def _reals(xs, name: str, bad: list[str], length: int | None
+           ) -> tuple | None:
+    """`xs` as a tuple of `length` numbers, or None with a violation
+    appended (no length check while the length is itself invalid)."""
+    try:
+        items = tuple(xs)
+    except TypeError:       # not iterable
+        items = None
+    # plain ints and floats skip the slower abstract-type check, which
+    # optimize_memory would pay on every one of its candidate configs
+    if items is None or not (set(map(type, items)) <= {int, float}
+                             or all(map(_is_number, items))):
+        bad.append(f"{name} must be a list of numbers, got {xs!r}")
+        return None
+    if length is None:
+        return None
+    if len(items) != length:
+        bad.append(name)
+        return None
+    return items
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Erasure broadcast setup: K users, N files, per-user erasure
-    probabilities and cache sizes (in files), per-file packet counts."""
+    probabilities and cache sizes (in files), per-file packet counts.
+
+    Construction is the one place a configuration is checked: every
+    field's type, length and range, with every violation named in one
+    ConfigError.  Counts become ints and probabilities and cache sizes
+    floats.
+    """
 
     K: int
     N: int
@@ -58,9 +121,33 @@ class SystemConfig:
     field_order: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
-        object.__setattr__(self, "mem", tuple(float(m) for m in self.mem))
-        object.__setattr__(self, "file_sizes", tuple(int(f) for f in self.file_sizes))
+        bad: list[str] = []
+        K = _count(self.K, "K", bad, 1, MAX_K)
+        N = _count(self.N, "N", bad, K or 1, inf)
+        delta = _reals(self.delta, "delta", bad, K)
+        if delta is not None:
+            bad += [f"delta[{i}]" for i, d in enumerate(delta, 1)
+                    if not 0 <= d < 1]
+        mem = _reals(self.mem, "mem", bad, K)
+        if mem is not None and N is not None:
+            bad += [f"mem[{i}]" for i, m in enumerate(mem, 1)
+                    if not 0 <= m <= N]
+        sizes = _reals(self.file_sizes, "file_sizes", bad, N)
+        # only entries that are not already ints in range need a look
+        if sizes and not (set(map(type, sizes)) == {int} and 0 <= min(sizes)
+                          and max(sizes) <= MAX_FILE_PACKETS):
+            sizes = tuple(_count(f, f"file_sizes[{i}]", bad, 0,
+                                 MAX_FILE_PACKETS)
+                          for i, f in enumerate(sizes, 1))
+        q = _count(self.field_order, "field_order", bad, 0, inf)
+        if q is not None and q not in SUPPORTED_FIELD_ORDERS:
+            bad.append("field_order")
+        if bad:
+            raise ConfigError(f"invalid config: {', '.join(bad)}")
+        # frozen: write the checked values past __setattr__
+        self.__dict__.update(K=K, N=N, delta=tuple(map(float, delta)),
+                             mem=tuple(map(float, mem)), file_sizes=sizes,
+                             field_order=q)
 
     @property
     def p(self) -> tuple[float, ...]:
@@ -102,45 +189,9 @@ class RateVector:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
 
-@dataclass
-class ValidationResult:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-
-def validate_config(cfg: SystemConfig) -> ValidationResult:
-    """Check every structural constraint; violations name the offending
-    field with a 1-based index."""
-    v: list[str] = []
-    if not isinstance(cfg.K, int) or cfg.K < 1:
-        v.append("K")
-    if not isinstance(cfg.N, int) or cfg.N < max(cfg.K, 1):
-        v.append("N")
-    if len(cfg.delta) != cfg.K:
-        v.append("delta")
-    else:
-        for i, d in enumerate(cfg.delta):
-            if not (0.0 <= d < 1.0):
-                v.append(f"delta[{i + 1}]")
-    if len(cfg.mem) != cfg.K:
-        v.append("mem")
-    else:
-        for i, m in enumerate(cfg.mem):
-            if not (0.0 <= m <= cfg.N):
-                v.append(f"mem[{i + 1}]")
-    if len(cfg.file_sizes) != cfg.N:
-        v.append("file_sizes")
-    else:
-        for i, f in enumerate(cfg.file_sizes):
-            if not isinstance(f, int) or f < 0:
-                v.append(f"file_sizes[{i + 1}]")
-    q = cfg.field_order
-    if not isinstance(q, int) or q not in SUPPORTED_FIELD_ORDERS:
-        v.append("field_order")
-    return ValidationResult(not v, v)
-
-
-def validate_demand(cfg: SystemConfig, demand: Demand) -> ValidationResult:
+def validate_demand(cfg: SystemConfig, demand: Demand) -> None:
+    """ConfigError naming each bad entry unless the demand gives every
+    user a distinct file in 1..N."""
     v = []
     if len(demand.assignment) != cfg.K:
         v.append("demand")
@@ -150,41 +201,14 @@ def validate_demand(cfg: SystemConfig, demand: Demand) -> ValidationResult:
         for i, d in enumerate(demand.assignment):
             if not (1 <= d <= cfg.N):
                 v.append(f"demand[{i + 1}]")
-    return ValidationResult(not v, v)
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _whole(value, name: str) -> int:
-    """`value` as an int, or ConfigError naming the field unless it is a
-    whole number (an int, or a float with no fractional part)."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"invalid config: {name} must be a whole number, "
-                          f"got {value!r}")
-    return int(value)
-
-
-def _numbers(value, name: str) -> list:
-    """`value`, or ConfigError naming the field unless it is a JSON list
-    of numbers (a bool or a string is not a number)."""
-    if not isinstance(value, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in value):
-        raise ConfigError(f"invalid config: {name} must be a list of "
-                          f"numbers, got {value!r}")
-    return value
+    if v:
+        raise ConfigError(f"invalid demand: {', '.join(v)}")
 
 
 def config_from_dict(doc: dict) -> SystemConfig:
-    """Build and validate a SystemConfig from a parsed JSON document.
+    """Build a SystemConfig from a parsed JSON document, which it checks.
 
-    Unknown keys are rejected so typos never pass silently, and so are
-    counts that are not whole numbers, which would otherwise be truncated,
-    and lists that hold anything but numbers.
+    Unknown keys are rejected so typos never pass silently.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"invalid config: expected a JSON object, got "
@@ -195,19 +219,7 @@ def config_from_dict(doc: dict) -> SystemConfig:
     missing = {"K", "N", "delta", "mem", "file_sizes"} - set(doc)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    cfg = SystemConfig(
-        K=_whole(doc["K"], "K"),
-        N=_whole(doc["N"], "N"),
-        delta=tuple(_numbers(doc["delta"], "delta")),
-        mem=tuple(_numbers(doc["mem"], "mem")),
-        file_sizes=tuple(_whole(f, f"file_sizes[{i + 1}]") for i, f in
-                         enumerate(_numbers(doc["file_sizes"], "file_sizes"))),
-        field_order=_whole(doc.get("field_order", 256), "field_order"),
-    )
-    res = validate_config(cfg)
-    if not res.ok:
-        raise ConfigError(f"invalid config: {', '.join(res.violations)}")
-    return cfg
+    return SystemConfig(**doc)
 
 
 def load_config(path: str) -> SystemConfig:

@@ -211,8 +211,9 @@ def test_two_user_region_noiseless_link_collapses():
 
 
 def test_two_user_region_parallel_distinct_reported():
-    # out-of-range parameters force w1*w2 == w12^2 with w1 != w12
-    bad = SystemConfig(K=2, N=2, delta=(0.5, 0.0), mem=(-2.0, 0.0),
+    # a full cache at user 1 zeroes w1 and w12 while w2 = 1: the two
+    # constraints are parallel but distinct
+    bad = SystemConfig(K=2, N=2, delta=(0.5, 0.0), mem=(2.0, 0.0),
                        file_sizes=(1, 1))
     with pytest.raises(DegenerateRegionError):
         two_user_region(bad)

@@ -9,7 +9,7 @@ from ebcache import analysis
 from ebcache.cli import main
 from ebcache.delivery import run_delivery
 from ebcache.experiments import SWEEP_COLUMNS, trial_seeds
-from ebcache.model import Demand, load_config
+from ebcache.model import MAX_FILE_PACKETS, MAX_K, Demand, load_config
 from ebcache.placement import centralized_placement, decentralized_placement
 
 TWO_USER = {"K": 2, "N": 2, "delta": [0.25, 0.5], "mem": [2 / 3, 4 / 3],
@@ -219,6 +219,8 @@ def test_decode_failure_is_exit_2(capsys, tmp_path):
     ["feasible", "--rates", "inf,0.1"],
     ["sweep", "--vary", "K", "--grid", "2.5", "--trials", "2", "--jobs", "1",
      "--F", "10"],
+    ["sweep", "--vary", "mem", "--grid", "0", "--trials", "2", "--jobs", "1",
+     "--F", str(MAX_FILE_PACKETS + 1)],
 ])
 def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
     code = main([argv[0], "--config", two_user, *argv[1:]])
@@ -251,6 +253,25 @@ def test_config_count_that_is_not_whole_is_exit_1(capsys, tmp_path):
     bad.write_text(json.dumps({**TWO_USER, "file_sizes": [10.7, 20.2]}))
     assert main(["plan", "--config", str(bad)]) == 1
     assert "file_sizes[1] must be a whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({**TWO_USER, "file_sizes": [2.9, 3]}, "file_sizes[1]"),
+    ({**TWO_USER, "file_sizes": [10, 1e30]}, "file_sizes[2]"),
+    ({**TWO_USER, "file_sizes": [10, MAX_FILE_PACKETS + 1]}, "file_sizes[2]"),
+    ({**TWO_USER, "K": MAX_K + 1}, "K"),
+    ({**TWO_USER, "N": "2"}, "N"),
+    ({**TWO_USER, "mem": [True, 1]}, "mem"),
+])
+@pytest.mark.parametrize("verb", ["plan", "simulate"])
+def test_config_over_a_bound_or_of_the_wrong_type_is_exit_1(
+        capsys, tmp_path, doc, name, verb):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([verb, "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: invalid config: {name}")
+    assert not captured.out
 
 
 @pytest.mark.parametrize("doc", [
@@ -344,6 +365,13 @@ def test_explicit_F_0_is_applied_not_ignored(capsys, sym3):
     doc = json.loads(out)
     assert code == 0 and doc["total"] == 0.0
     assert all(sp["t"] == 0.0 for sp in doc["subphases"])
+
+
+def test_simulate_files_of_no_packets_take_no_slots(capsys, sym3):
+    code, out = run(capsys, ["simulate", "--config", sym3, "--F", "0"])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["slots_total"] == 0 and doc["slots_per_file_unit"] == 0.0
 
 
 def test_numeric_output_rounded_to_twelve_significant_digits(capsys, two_user):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcache import analysis
+from ebcache import analysis, delivery
 from ebcache.delivery import (CleanupBudgetExceeded, DeliveryError,
                               _delivered, run_delivery, run_order_start)
 from ebcache.experiments import trial_seeds
@@ -174,9 +174,9 @@ def test_rejects_bad_inputs():
         run_delivery(cfg, pm, demand=Demand((1, 1)), seed=0)
     with pytest.raises(DeliveryError, match="start_phase"):
         run_delivery(cfg, pm, seed=0, start_phase=5)
-    bad = cfg_of((0.3, 0.3), (0.5, 0.5), 30, q=16)
+    # a config cannot hold q=16, so the raw-argument entry point checks it
     with pytest.raises(DeliveryError, match="field order"):
-        run_delivery(bad, decentralized_placement(bad, 0), seed=0)
+        run_order_start(2, (0.3, 0.3), 1, 30, q=16)
 
 
 def test_order_start_rejects_certain_erasure_up_front():
@@ -184,22 +184,25 @@ def test_order_start_rejects_certain_erasure_up_front():
     with pytest.raises(DeliveryError, match="delta"):
         run_order_start(2, (1.0, 1.0), 1, 5)
     with pytest.raises(DeliveryError, match="delta"):
-        run_order_start(3, (0.2, 1.5, 0.2), 2, 5, decode=True)
+        run_order_start(3, (0.2, 1.5, 0.2), 2, 5)
 
 
 @pytest.mark.parametrize("delta", [(-0.5, 0.2, 0.2), (0.2, 0.2),
                                    (0.2, 1.0, 0.2)])
 @pytest.mark.parametrize("engine", ["full", "length"])
-def test_both_simulators_reject_bad_delta_before_any_slot(engine, delta):
-    cfg = SystemConfig(K=3, N=3, delta=delta, mem=(0.0,) * 3,
-                       file_sizes=(5,) * 3)
-    pm = decentralized_placement(cfg, 0)
+def test_both_simulators_reject_bad_delta_before_any_slot(engine, delta,
+                                                          monkeypatch):
+    # a config cannot hold such a delta, so the raw-argument entry points
+    # check it themselves
+    def no_slot(self, start_phase=1):
+        raise AssertionError("a slot ran before delta was checked")
+
+    monkeypatch.setattr(delivery._Engine, "run", no_slot)
     with pytest.raises(DeliveryError, match="delta"):
         if engine == "full":
-            # a slot would read the empty channel and stop the iteration
-            run_delivery(cfg, pm, seed=0, state_source=iter(()))
+            run_order_start(3, delta, 1, 5)
         else:
-            run_delivery_lengths(cfg, pm, seed=0)
+            simulate_lengths(3, delta, order_start_needs(3, 1, 5), seed=0)
 
 
 @pytest.mark.parametrize("start_phase", [0, 4])
@@ -263,8 +266,8 @@ def test_seeded_outputs_are_pinned():
 def test_promotions_only_enlarge_the_target_set():
     cfg = cfg_of((0.4,) * 3, (0.4,) * 3, 200)
     pm = decentralized_placement(cfg, 3)
-    res = run_delivery(cfg, pm, seed=4, decode=False)
-    for (src, dst, _k), n in res.realized_transfers.items():
+    transfers = _delivered(cfg, pm, Demand.identity(3), seed=4).transfers
+    for (src, dst, _k), n in transfers.items():
         assert set(src) < set(dst) and n > 0
 
 
@@ -321,9 +324,28 @@ def test_centralized_delivery_decodes():
 
 
 def test_order_start_small_decodes():
-    res = run_order_start(3, (0.5,) * 3, 2, 150, seed=7, decode=True)
+    res = run_order_start(3, (0.5,) * 3, 2, 150, seed=7)
     assert res.decode_ok == [True] * 3
     assert set(res.slots_per_subphase) == {(1, 2), (1, 3), (2, 3), (1, 2, 3)}
+
+
+def test_order_start_full_engine_agrees_with_length_only_path():
+    # run_order_start is the decoding oracle of order_capacity_trial's
+    # length-only path: mean main-phase slots over 8 decoded seeds must
+    # lie within 5 standard errors (4% of the mean here) of the fastsim
+    # mean over 400 seeds, the per-trial variance taken from fastsim
+    K, order, n, delta = 3, 2, 300, (0.3, 0.4, 0.5)
+    full = []
+    for s in range(8):
+        res = run_order_start(K, delta, order, n, seed=s)
+        assert res.decode_ok == [True] * K
+        full.append(res.slots_total - res.cleanup_slots)
+    needs = order_start_needs(K, order, n)
+    fast = [simulate_lengths(K, delta, needs, seed=1000 + s,
+                             start_phase=order).slots_total
+            for s in range(400)]
+    se = math.sqrt(np.var(fast, ddof=1) * (1 / len(full) + 1 / len(fast)))
+    assert abs(np.mean(full) - np.mean(fast)) <= 5 * se
 
 
 def test_sim_result_json_keys():
@@ -381,9 +403,9 @@ def test_fast_and_full_engines_agree_with_the_plan():
     fast = np.mean([run_delivery_lengths(
         cfg, decentralized_placement(cfg, s), seed=50 + s).slots_total
         for s in range(8)])
-    full = np.mean([run_delivery(
-        cfg, decentralized_placement(cfg, s), seed=50 + s,
-        decode=False).slots_total for s in range(8)])
+    full = np.mean([_delivered(
+        cfg, decentralized_placement(cfg, s), Demand.identity(2),
+        seed=50 + s).slot for s in range(8)])
     assert abs(fast - plan_total) / plan_total < 0.03
     assert abs(full - plan_total) / plan_total < 0.03
     assert abs(fast - full) / plan_total < 0.03

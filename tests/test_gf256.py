@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcache.gf256 import (MUL, InconsistentSystemError, gf_dot, gf_inv,
-                           gf_mul, rref)
+from ebcache.gf256 import INV, MUL, InconsistentSystemError, gf_dot, rref
 
 
 def slow_mul(a, b):
@@ -21,35 +20,33 @@ def slow_mul(a, b):
 
 
 def test_known_products():
-    assert gf_mul(0x01, 0x5A) == 0x5A
-    assert gf_mul(0x53, 0xCA) == 0x01
-    assert gf_mul(0x00, 0xFF) == 0x00
+    assert MUL[0x01, 0x5A] == 0x5A
+    assert MUL[0x53, 0xCA] == 0x01
+    assert MUL[0x00, 0xFF] == 0x00
 
 
 def test_table_matches_shift_and_reduce_oracle():
     rng = np.random.default_rng(0)
     for _ in range(4000):
         a, b = int(rng.integers(256)), int(rng.integers(256))
-        assert gf_mul(a, b) == slow_mul(a, b)
+        assert MUL[a, b] == slow_mul(a, b)
     # spot the full border rows exhaustively
     for a in range(256):
-        assert gf_mul(a, 0) == 0
-        assert gf_mul(a, 1) == a
-        assert gf_mul(a, 255) == slow_mul(a, 255)
+        assert MUL[a, 0] == 0
+        assert MUL[a, 1] == a
+        assert MUL[a, 255] == slow_mul(a, 255)
 
 
 def test_every_nonzero_element_has_inverse():
     for a in range(1, 256):
-        assert gf_mul(a, gf_inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        gf_inv(0)
+        assert MUL[a, INV[a]] == 1
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
 def test_field_axioms(a, b, c):
-    assert gf_mul(a, b) == gf_mul(b, a)
-    assert gf_mul(gf_mul(a, b), c) == gf_mul(a, gf_mul(b, c))
-    assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
+    assert MUL[a, b] == MUL[b, a]
+    assert MUL[MUL[a, b], c] == MUL[a, MUL[b, c]]
+    assert MUL[a, b ^ c] == MUL[a, b] ^ MUL[a, c]
 
 
 def test_gf_dot_matches_scalar_loop():
@@ -86,7 +83,7 @@ def test_rref_two_random_rows_round_trip():
     rows = []
     for _ in range(2):
         c = [int(x) for x in rng.integers(1, 256, 2)]
-        rows.append((c, gf_mul(c[0], truth[0]) ^ gf_mul(c[1], truth[1])))
+        rows.append((c, int(MUL[c[0], truth[0]] ^ MUL[c[1], truth[1]])))
     m = system(rows, 2)
     assert determined(m, rref(m, 2), 2) == {0: 0x7D, 1: 0x3E}
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcache.model import (ConfigError, Demand, RateVector, SystemConfig,
-                           config_from_dict, is_one_sided_fair,
-                           load_config, mask_of, subsets_ascending, users_of,
-                           validate_config, validate_demand)
+from ebcache.model import (MAX_FILE_PACKETS, MAX_K, ConfigError, Demand,
+                           RateVector, SystemConfig, config_from_dict,
+                           is_one_sided_fair, load_config, mask_of,
+                           subsets_ascending, users_of, validate_demand)
 
 
 def cfg_of(delta, p, N=None, sizes=None):
@@ -23,41 +23,43 @@ def cfg_of(delta, p, N=None, sizes=None):
 def test_validate_accepts_reference_config():
     cfg = SystemConfig(K=3, N=3, delta=(.25, .25, .25), mem=(1, 1, 1),
                        file_sizes=(100, 100, 100))
-    assert validate_config(cfg).ok
+    assert (cfg.K, cfg.mem, cfg.file_sizes) == (3, (1.0,) * 3, (100,) * 3)
 
 
 def test_validate_names_bad_delta_entry():
-    cfg = SystemConfig(K=3, N=3, delta=(.25, 1.0, .25), mem=(1, 1, 1),
-                       file_sizes=(100, 100, 100))
-    res = validate_config(cfg)
-    assert not res.ok and "delta[2]" in res.violations
+    with pytest.raises(ConfigError, match=r"delta\[2\]"):
+        SystemConfig(K=3, N=3, delta=(.25, 1.0, .25), mem=(1, 1, 1),
+                     file_sizes=(100, 100, 100))
 
 
 def test_validate_names_bad_mem_entry():
-    cfg = SystemConfig(K=3, N=3, delta=(.25,) * 3, mem=(4, 1, 1),
-                       file_sizes=(100,) * 3)
-    res = validate_config(cfg)
-    assert not res.ok and "mem[1]" in res.violations
+    with pytest.raises(ConfigError, match=r"mem\[1\]"):
+        SystemConfig(K=3, N=3, delta=(.25,) * 3, mem=(4, 1, 1),
+                     file_sizes=(100,) * 3)
 
 
 def test_validate_rejects_n_below_k_and_bad_field_order():
-    cfg = SystemConfig(K=3, N=2, delta=(.25,) * 3, mem=(1,) * 3,
-                       file_sizes=(10, 10), field_order=100)
-    res = validate_config(cfg)
-    assert "N" in res.violations and "field_order" in res.violations
+    with pytest.raises(ConfigError, match=r"\bN\b.*field_order"):
+        SystemConfig(K=3, N=2, delta=(.25,) * 3, mem=(1,) * 3,
+                     file_sizes=(10, 10), field_order=100)
 
 
 def test_validate_accepts_only_supported_field_orders():
     for q, ok in ((2, True), (256, True), (16, False), (4, False)):
-        cfg = SystemConfig(K=2, N=2, delta=(.25,) * 2, mem=(1,) * 2,
-                           file_sizes=(10, 10), field_order=q)
-        assert ("field_order" not in validate_config(cfg).violations) == ok
+        try:
+            SystemConfig(K=2, N=2, delta=(.25,) * 2, mem=(1,) * 2,
+                         file_sizes=(10, 10), field_order=q)
+        except ConfigError as exc:
+            assert not ok and "field_order" in str(exc)
+        else:
+            assert ok
 
 
 def test_demand_validation():
     cfg = cfg_of((.2, .2), (0, 0))
-    assert validate_demand(cfg, Demand.identity(2)).ok
-    assert not validate_demand(cfg, Demand((1, 1))).ok
+    validate_demand(cfg, Demand.identity(2))
+    with pytest.raises(ConfigError, match="non-distinct"):
+        validate_demand(cfg, Demand((1, 1)))
 
 
 def test_config_json_round_trip(tmp_path):
@@ -105,6 +107,50 @@ def test_config_accepts_whole_floats():
     assert (cfg.K, cfg.file_sizes, cfg.field_order) == (2, (10, 20), 2)
     assert all(type(v) is int for v in (cfg.K, *cfg.file_sizes,
                                         cfg.field_order))
+
+
+def _sys_cfg(**kw):
+    args = dict(K=2, N=2, delta=(0.2, 0.2), mem=(0, 0), file_sizes=(10, 20))
+    return SystemConfig(**{**args, **kw})
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"file_sizes": (2.9, 3)}, "file_sizes[1] must be a whole number"),
+    ({"file_sizes": (10, True)}, "file_sizes must be a list of numbers"),
+    ({"delta": (0.2, "0.3")}, "delta must be a list of numbers"),
+    ({"mem": (False, 0)}, "mem must be a list of numbers"),
+    ({"K": "2"}, "K must be a whole number"),
+    ({"N": True}, "N must be a whole number"),
+    ({"field_order": 2.5}, "field_order must be a whole number"),
+    ({"K": MAX_K + 1, "N": MAX_K + 1, "delta": (0.2,) * (MAX_K + 1),
+      "mem": (0,) * (MAX_K + 1), "file_sizes": (1,) * (MAX_K + 1)},
+     "invalid config: K"),
+    ({"file_sizes": (10, MAX_FILE_PACKETS + 1)}, "file_sizes[2]"),
+    ({"file_sizes": (10, 1e30)}, "file_sizes[2]"),
+    ({"delta": (float("nan"), 0.2)}, "delta[1]"),
+])
+def test_construction_rejects_each_bad_field(kw, match):
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        _sys_cfg(**kw)
+
+
+def test_construction_names_every_violation_at_once():
+    with pytest.raises(ConfigError) as exc:
+        _sys_cfg(N=2.5, delta=(0.2, 1.0), mem=(-1, 0), field_order=16)
+    assert str(exc.value) == ("invalid config: N must be a whole number, "
+                              "got 2.5, delta[2], field_order")
+
+
+def test_construction_accepts_numpy_scalars_and_the_bounds():
+    import numpy as np
+    cfg = _sys_cfg(K=np.int64(2), delta=np.array([0.0, 0.5]),
+                   mem=(np.float32(2), 0), file_sizes=(0, MAX_FILE_PACKETS),
+                   field_order=np.float64(2))
+    assert (cfg.K, cfg.delta, cfg.mem, cfg.file_sizes, cfg.field_order) == (
+        2, (0.0, 0.5), (2.0, 0.0), (0, MAX_FILE_PACKETS), 2)
+    assert all(type(v) is int for v in (cfg.K, *cfg.file_sizes,
+                                        cfg.field_order))
+    assert all(type(v) is float for v in (*cfg.delta, *cfg.mem))
 
 
 def test_subsets_ascending_order():
