@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -80,14 +79,36 @@ class CleanupBudgetExceeded(DeliveryError):
         self.unresolved = unresolved
 
 
-def checked_delta(K: int, delta) -> np.ndarray:
-    """δ as an array, or DeliveryError unless it holds K erasure
-    probabilities in [0, 1)."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (K,) or not ((delta >= 0.0) & (delta < 1.0)).all():
-        raise DeliveryError("delta must hold K erasure probabilities "
-                            "in [0, 1)")
-    return delta
+class ChannelStream:
+    """The channel states of one delivery, the scheme's only random input:
+    row t of `random((n, K)) < 1 - delta`, drawn in blocks from the second
+    child of `SeedSequence(seed)`, tells who heard slot t.  numpy fills
+    doubles in order, so the rows are one sequence whatever the blocks,
+    and rows a caller saw but did not consume (advance `pos`) come again."""
+
+    def __init__(self, K: int, delta, seed: int):
+        self.delta = delta = np.asarray(delta, dtype=float)
+        if delta.shape != (K,) or not ((delta >= 0.0) & (delta < 1.0)).all():
+            raise DeliveryError("delta must hold K erasure probabilities "
+                                "in [0, 1)")
+        self.rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        self.recv, self.states, self.pos = np.empty((0, K), bool), _NO_I64, 0
+
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next n slots, unconsumed: receivers (n, K) and bitmasks."""
+        if self.pos + n > len(self.states):
+            K = len(self.delta)
+            self.recv = np.concatenate([self.recv[self.pos:], self.rng.random(
+                (max(n, 128), K)) < 1.0 - self.delta])
+            self.states, self.pos = self.recv @ (1 << np.arange(K)), 0
+        return (self.recv[self.pos:self.pos + n],
+                self.states[self.pos:self.pos + n])
+
+    def state(self) -> int:
+        """The receiver set of the next slot, consumed."""
+        s = self.rows(1)[1][0]
+        self.pos += 1
+        return int(s)
 
 
 @dataclass
@@ -139,24 +160,21 @@ class _Residual:
 
 class _Engine:
     def __init__(self, K: int, delta, seed: int, q: int = 256,
-                 payload_len: int = 1, trace: list | None = None,
-                 state_source: Iterator[int] | None = None):
+                 payload_len: int = 1, trace: list | None = None):
         if q not in SUPPORTED_FIELD_ORDERS:
             raise DeliveryError(f"field order {q} unsupported "
                                 f"(choose from {SUPPORTED_FIELD_ORDERS})")
-        self.delta = checked_delta(K, delta)
         self.K = K
         # packet values are default_rng(seed)'s first draw; coefficients and
         # channel states have streams of their own, whatever the payload
+        self.chan = ChannelStream(K, delta, seed)
         self.rng = np.random.default_rng(seed)
-        self.coef_rng, self.chan_rng = map(
-            np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        self.coef_rng = np.random.default_rng(
+            np.random.SeedSequence(seed).spawn(2)[0])
         self.q = q
         self.L = payload_len
         self.trace = trace
-        self.state_source = state_source
         self.full = (1 << K) - 1
-        self.powers = (1 << np.arange(K)).astype(np.int64)
         self.npackets = 0
         # the atom table, packets first, then combinations as sent: value,
         # receiver set of the carrying slot (0 if none), pool of origin
@@ -218,12 +236,6 @@ class _Engine:
 
     # -- channel -----------------------------------------------------------
 
-    def _state(self) -> int:
-        if self.state_source is not None:
-            return next(self.state_source)
-        return int(((self.chan_rng.random(self.K) < (1.0 - self.delta))
-                    @ self.powers))
-
     def _coefs(self, n: int, nonzero: bool = False) -> np.ndarray:
         return self.coef_rng.integers(int(nonzero), self.q, n, dtype=np.uint8)
 
@@ -262,7 +274,7 @@ class _Engine:
         for atom in atoms.tolist():
             while True:
                 self.slot += 1
-                S = self._state()
+                S = self.chan.state()
                 if S == 0:
                     self._trace(pool_mask, S, "waste")
                     continue
@@ -299,7 +311,7 @@ class _Engine:
                     support = atoms[np.nonzero(needed & active)[0]]
                 vals = self.vals[support]
             coefs = self._coefs(len(support), nonzero=single)
-            S = self._state()
+            S = self.chan.state()
             got = S & active
             moved = (active & ~S) if (S & ~pool_mask) else 0
             if S:
@@ -550,7 +562,7 @@ class _Engine:
             ids = np.asarray(unresolved, dtype=np.int64)
             coefs = self._coefs(len(ids))
             payload = gf_dot(coefs, self.values[ids])
-            S = self._state()
+            S = self.chan.state()
             if not S >> k0 & 1:
                 continue
             n = len(state.col_of)
@@ -642,14 +654,10 @@ def _components(deps: dict[int, set[int]]) -> list[list[int]]:
     return out
 
 
-def _file_offsets(cfg: SystemConfig) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(cfg.file_sizes)]).astype(np.int64)
-
-
 def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = None,
                  seed: int = 0, start_phase: int = 1, payload_len: int = 1,
-                 cleanup_budget: int | None = None, trace: list | None = None,
-                 state_source: Iterator[int] | None = None) -> SimResult:
+                 cleanup_budget: int | None = None,
+                 trace: list | None = None) -> SimResult:
     """Execute phases start_phase..K for the given placement and demand.
 
     Returns slot counts per sub-phase, realized promotion counts and
@@ -658,14 +666,13 @@ def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = No
     CleanupBudgetExceeded.
     """
     demand = demand or Demand.identity(cfg.K)
-    eng = _delivered(cfg, pm, demand, seed, start_phase, payload_len,
-                     trace=trace, state_source=state_source)
+    eng = _delivered(cfg, pm, demand, seed, start_phase, payload_len, trace)
     return _finish(eng, cleanup_budget)
 
 
 def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
                start_phase: int = 1, payload_len: int = 1,
-               **engine_kw) -> _Engine:
+               trace: list | None = None) -> _Engine:
     """The engine after seeding the pools and running phases
     start_phase..K, before any decoding."""
     if len(set(demand.assignment)) != cfg.K:
@@ -673,8 +680,8 @@ def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
     if not 1 <= start_phase <= cfg.K:
         raise DeliveryError("start_phase out of range")
     eng = _Engine(cfg.K, cfg.delta, seed, q=cfg.field_order,
-                  payload_len=payload_len, **engine_kw)
-    off = _file_offsets(cfg)
+                  payload_len=payload_len, trace=trace)
+    off = np.concatenate([[0], np.cumsum(cfg.file_sizes)]).astype(np.int64)
     pmask = np.concatenate([m.astype(np.int64) for m in pm.cache_masks])
     eng.set_packets(int(off[-1]), pmask)
     for k0 in range(cfg.K):

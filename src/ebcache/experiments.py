@@ -85,8 +85,8 @@ def order_capacity_trial(K: int, delta: float, order: int, n_packets: int,
     children = np.random.SeedSequence(seed).spawn(trials)
     values = []
     for child in children:
-        sseed = int(child.generate_state(1)[0])
-        res = fastsim.simulate_lengths(K, (delta,) * K, needs, sseed,
+        _, dseed = trial_seeds(child)
+        res = fastsim.simulate_lengths(K, (delta,) * K, needs, dseed,
                                        start_phase=order)
         values.append(total_symbols / res.slots_total)
     return _summary(values, seed)

@@ -3,37 +3,33 @@
 Runs the same per-slot bookkeeping as the full engine (reception or
 overheard promotion counts as progress; promotions enlarge the target
 pool) but tracks only per-user outstanding-equation counters, never the
-equations themselves.  Distributionally identical slot counts at a small
-fraction of the cost, which is what makes file sizes of 10^5 practical
-for Monte Carlo runs.
+equations themselves.  On the full engine's `ChannelStream` it gives
+slot-identical counts at a small fraction of the cost, which is what
+makes file sizes of 10^5 practical for Monte Carlo runs.
 
 The needs table is a (2^K, K) int64 array: row J, column k0 holds the
 equations user k0 + 1 still needs from pool J (a bitmask of users).  Only
 members count, so entries outside a pool, and row 0, are ignored.
 
-Sub-phases run in `subsets_ascending` order.  Each draws chunks of
+Sub-phases run in `subsets_ascending` order.  Each looks at chunks of
 channel states, every member of the pool served by the same chunk: one
 cumulative sum over the (slot, member) progress matrix gives each
 member's finishing slot, and one `nonzero` over the overheard-outside
 matrix, cut at those slots, gives every promotion, scattered into a
-single (2^K, K) table of pending counts.  The sub-phase uses the chunk up
-to the last finishing slot, or all of it and draws another.
-
-The draw protocol is fixed: one `rng.random((chunk, K))` per chunk, with
-the chunk size set by the largest outstanding count and the sub-phase's
-lowest progress probability, clipped to [128, 8192].  Every seeded
-output depends on it, so a change to it is a change of results.
+single (2^K, K) table of pending counts.  The sub-phase consumes the
+chunk up to the last finishing slot and leaves the rest in the stream,
+or consumes it all and looks at another; chunk sizes set only speed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .delivery import DeliveryError, SimResult, checked_delta
+from .delivery import ChannelStream, DeliveryError, SimResult
 from .model import Demand, SystemConfig, subsets_ascending, users_of
 from .placement import PlacementMap
 
-_CHUNK = 8192
+_MIN_CHUNK, _CHUNK = 128, 8192
 _SLOTS = np.arange(_CHUNK)[:, None]
 
 
@@ -63,19 +59,16 @@ def order_start_needs(K: int, order: int, n_packets: int) -> np.ndarray:
 def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int,
                      start_phase: int = 1) -> SimResult:
     """Slot counts for the whole delivery given the initial needs table."""
-    delta = checked_delta(K, delta)
+    chan = ChannelStream(K, delta, seed)
     if not 1 <= start_phase <= K:
         raise DeliveryError("start_phase out of range")
-    rng = np.random.default_rng(seed)
-    powers = (1 << np.arange(K)).astype(np.int64)
     inpool = (np.arange(1 << K)[:, None] >> np.arange(K) & 1).astype(bool)
-    # lowest per-slot progress probability of each pool, which bounds the
-    # expected length: its worst member and everyone outside all erase.
-    # The product over the outside is a left fold, as np.prod takes it.
+    # each pool's lowest per-slot progress probability (its worst member
+    # and everyone outside all erase) bounds its length and sizes chunks
     silent = np.ones(1 << K)
     for j in range(K):
-        silent[~inpool[:, j]] *= delta[j]
-    q_min = 1.0 - np.where(inpool, delta, 0.0).max(axis=1) * silent
+        silent[~inpool[:, j]] *= chan.delta[j]
+    q_min = 1.0 - np.where(inpool, chan.delta, 0.0).max(axis=1) * silent
     # pending[t, k0]: equations member k0 of pool t still needs from it
     pending = np.where(inpool, needs, 0)
     flat = pending.reshape(-1)
@@ -92,15 +85,15 @@ def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int,
         need = pending[pool, act]
         length = 0
         while act.size:
-            chunk = int(min(_CHUNK, max(128, 2 * int(need.max())
-                                        / q_min[pool])))
-            recv = rng.random((chunk, K)) < (1.0 - delta)
-            states = recv @ powers
+            chunk = int(min(_CHUNK, max(_MIN_CHUNK, 2 * int(need.max())
+                                               / q_min[pool])))
+            recv, states = chan.rows(chunk)
             heard = recv[:, act]
             prog = heard | ((states & ~pool) != 0)[:, None]
             cum = np.cumsum(prog, axis=0)
             fin = (cum < need).sum(axis=0)      # chunk if not finished here
             used = min(int(fin.max()) + 1, chunk)
+            chan.pos += used
             # progress without reception is a promotion; count those up to
             # each member's finishing slot
             rows, cols = np.nonzero(prog & ~heard & (_SLOTS[:chunk] <= fin))

@@ -106,6 +106,24 @@ def test_simulate_derives_placement_and_delivery_seeds(capsys, sym3):
     assert doc["seed"] == 5
 
 
+def test_simulate_full_and_length_only_agree_slot_for_slot(capsys, tmp_path):
+    # both modes read one channel stream per delivery seed; the binary
+    # field makes the full engine spend cleanup slots past the main phase
+    path = tmp_path / "gf2.json"
+    path.write_text(json.dumps({**SYM3, "delta": [0.3, 0.4, 0.5],
+                                "file_sizes": [60] * 3, "field_order": 2}))
+    docs = []
+    for mode in ("--full", "--length-only"):
+        code, out = run(capsys, ["simulate", "--config", str(path),
+                                 "--seed", "1", mode])
+        assert code == 0
+        docs.append(json.loads(out))
+    full, fast = docs
+    assert full["slots_per_subphase"] == fast["slots_per_subphase"]
+    assert full["cleanup_slots"] > 0
+    assert full["slots_total"] - fast["slots_total"] == full["cleanup_slots"]
+
+
 def test_simulate_length_only(capsys, sym3):
     code, out = run(capsys, ["simulate", "--config", sym3, "--seed", "2",
                              "--length-only"])

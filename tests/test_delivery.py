@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcache import analysis, delivery
+from ebcache import analysis, delivery, fastsim
 from ebcache.delivery import (CleanupBudgetExceeded, DeliveryError,
                               _delivered, run_delivery, run_order_start)
 from ebcache.experiments import trial_seeds
@@ -44,7 +44,21 @@ def test_full_caches_send_nothing():
     assert res.decode_ok == [True] * 3
 
 
-def test_scripted_two_user_overhear_and_combine():
+class ScriptedStream:
+    """Stands in for `ChannelStream`: hands out the given states, one a
+    slot, and stops the run if a slot outlasts the script."""
+
+    def __init__(self, states):
+        self.states = iter(states)
+
+    def __call__(self, K, delta, seed):
+        return self
+
+    def state(self):
+        return next(self.states)
+
+
+def test_scripted_two_user_overhear_and_combine(monkeypatch):
     # file-1 packet overheard by user 2 on slot 2, file-2 packet overheard
     # by user 1 on slot 6, one pair combination clears both at slot 9
     states = [0b01, 0b10, 0b11, 0b01,
@@ -53,7 +67,8 @@ def test_scripted_two_user_overhear_and_combine():
     cfg = cfg_of((0.5, 0.5), (0.0, 0.0), 4)
     pm = decentralized_placement(cfg, 0)
     trace = []
-    res = run_delivery(cfg, pm, seed=0, state_source=iter(states), trace=trace)
+    monkeypatch.setattr(delivery, "ChannelStream", ScriptedStream(states))
+    res = run_delivery(cfg, pm, seed=0, trace=trace)
     assert res.slots_total == 9
     assert res.decode_ok == [True, True]
     assert res.slots_per_subphase == {(1,): 4, (2,): 4, (1, 2): 1}
@@ -207,13 +222,15 @@ def test_both_simulators_reject_bad_delta_before_any_slot(engine, delta,
 
 @pytest.mark.parametrize("start_phase", [0, 4])
 @pytest.mark.parametrize("engine", ["full", "length"])
-def test_both_simulators_reject_start_phase_outside_1_to_K(engine, start_phase):
+def test_both_simulators_reject_start_phase_outside_1_to_K(engine, start_phase,
+                                                          monkeypatch):
     cfg = cfg_of((0.3,) * 3, (0.5,) * 3, 5)
     pm = decentralized_placement(cfg, 0)
+    # a full-engine slot would stop the empty script, not raise DeliveryError
+    monkeypatch.setattr(delivery, "ChannelStream", ScriptedStream(()))
     with pytest.raises(DeliveryError, match="start_phase"):
         if engine == "full":
-            run_delivery(cfg, pm, seed=0, start_phase=start_phase,
-                         state_source=iter(()))
+            run_delivery(cfg, pm, seed=0, start_phase=start_phase)
         else:
             run_delivery_lengths(cfg, pm, seed=0, start_phase=start_phase)
 
@@ -247,20 +264,24 @@ def test_seeded_outputs_are_pinned():
     assert digest == ("62f5f8a4ef5c1248c05387702a3e74aa"
                       "e280730a8688cd6f90d1123176a051ff")
 
+    # The length-only half was recorded again when `fastsim` came to read
+    # the engine's channel stream (the second child of SeedSequence(seed))
+    # in place of its own default_rng(seed) chunks: every seeded
+    # length-only output moved, the full-engine half above did not.
     cfg = replace(cfg, file_sizes=(2000,) * 3, field_order=256)
     res = run_delivery_lengths(cfg, decentralized_placement(cfg, 21),
                                Demand((2, 3, 1)), seed=22)
-    assert res.slots_per_subphase == {(1,): 269, (2,): 261, (3,): 266,
-                                      (1, 2): 316, (1, 3): 452, (2, 3): 455,
-                                      (1, 2, 3): 804}
-    assert res.cleanup_slots == 0 and res.slots_total == 2823
+    assert res.slots_per_subphase == {(1,): 267, (2,): 260, (3,): 267,
+                                      (1, 2): 320, (1, 3): 446, (2, 3): 451,
+                                      (1, 2, 3): 800}
+    assert res.cleanup_slots == 0 and res.slots_total == 2811
     assert res.realized_transfers == {
-        ((1,), (1, 2), 1): 23, ((1,), (1, 2, 3), 1): 19, ((1,), (1, 3), 1): 26,
-        ((1, 2), (1, 2, 3), 1): 46, ((1, 2), (1, 2, 3), 2): 45,
-        ((1, 3), (1, 2, 3), 1): 70, ((1, 3), (1, 2, 3), 3): 76,
-        ((2,), (1, 2), 2): 33, ((2,), (1, 2, 3), 2): 40, ((2,), (2, 3), 2): 20,
-        ((2, 3), (1, 2, 3), 2): 137, ((2, 3), (1, 2, 3), 3): 119,
-        ((3,), (1, 2, 3), 3): 49, ((3,), (1, 3), 3): 39, ((3,), (2, 3), 3): 23}
+        ((1,), (1, 2), 1): 27, ((1,), (1, 2, 3), 1): 26, ((1,), (1, 3), 1): 14,
+        ((1, 2), (1, 2, 3), 1): 47, ((1, 2), (1, 2, 3), 2): 47,
+        ((1, 3), (1, 2, 3), 1): 84, ((1, 3), (1, 2, 3), 3): 65,
+        ((2,), (1, 2), 2): 32, ((2,), (1, 2, 3), 2): 43, ((2,), (2, 3), 2): 6,
+        ((2, 3), (1, 2, 3), 2): 129, ((2, 3), (1, 2, 3), 3): 99,
+        ((3,), (1, 2, 3), 3): 48, ((3,), (1, 3), 3): 31, ((3,), (2, 3), 3): 29}
 
 
 def test_promotions_only_enlarge_the_target_set():
@@ -331,21 +352,17 @@ def test_order_start_small_decodes():
 
 def test_order_start_full_engine_agrees_with_length_only_path():
     # run_order_start is the decoding oracle of order_capacity_trial's
-    # length-only path: mean main-phase slots over 8 decoded seeds must
-    # lie within 5 standard errors (4% of the mean here) of the fastsim
-    # mean over 400 seeds, the per-trial variance taken from fastsim
+    # length-only path: on the same seed both read one channel stream, so
+    # they agree slot for slot
     K, order, n, delta = 3, 2, 300, (0.3, 0.4, 0.5)
-    full = []
+    needs = order_start_needs(K, order, n)
     for s in range(8):
         res = run_order_start(K, delta, order, n, seed=s)
         assert res.decode_ok == [True] * K
-        full.append(res.slots_total - res.cleanup_slots)
-    needs = order_start_needs(K, order, n)
-    fast = [simulate_lengths(K, delta, needs, seed=1000 + s,
-                             start_phase=order).slots_total
-            for s in range(400)]
-    se = math.sqrt(np.var(fast, ddof=1) * (1 / len(full) + 1 / len(fast)))
-    assert abs(np.mean(full) - np.mean(fast)) <= 5 * se
+        fast = simulate_lengths(K, delta, needs, seed=s, start_phase=order)
+        assert res.slots_per_subphase == fast.slots_per_subphase
+        assert res.realized_transfers == fast.realized_transfers
+        assert res.slots_total - res.cleanup_slots == fast.slots_total
 
 
 def test_sim_result_json_keys():
@@ -459,10 +476,11 @@ def test_initial_needs_count_every_uncached_demanded_packet(scheme):
 
 
 def replay_lengths(K, delta, needs, seed, start_phase):
-    """The fast simulator's schedule written out slot by slot: the same
-    chunks drawn from default_rng(seed) with the same size rule, each slot
-    then visited in plain Python, each member counted one at a time."""
-    rng = np.random.default_rng(seed)
+    """The fast simulator's schedule written out slot by slot: one channel
+    state a slot, as the stream defines it (`random(K) < 1 - delta` from
+    the second child of SeedSequence(seed)), each member counted one at a
+    time."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
     delta = np.asarray(delta, dtype=float)
     pending = needs.tolist()
     users = lambda m: tuple(j + 1 for j in range(K) if m >> j & 1)
@@ -473,25 +491,18 @@ def replay_lengths(K, delta, needs, seed, start_phase):
         left = {k: pending[pool][k] for k in members}
         if len(members) < start_phase or not any(left.values()):
             continue
-        outside = [j for j in range(K) if not pool >> j & 1]
-        q_min = min(1.0 - delta[k] * float(np.prod(delta[outside]))
-                    for k in members)
         length = 0
         while any(left.values()):
-            chunk = int(min(8192, max(128, 2 * max(left.values()) / q_min)))
-            recv = rng.random((chunk, K)) < 1.0 - delta
-            for slot in recv.tolist():
-                heard = sum(1 << j for j in range(K) if slot[j])
-                for k in members:
-                    if left[k] and (slot[k] or heard & ~pool):
-                        left[k] -= 1
-                        if not slot[k]:
-                            pending[heard | pool][k] += 1
-                            key = (users(pool), users(heard | pool), k + 1)
-                            transfers[key] = transfers.get(key, 0) + 1
-                length += 1
-                if not any(left.values()):
-                    break
+            slot = (rng.random(K) < 1.0 - delta).tolist()
+            heard = sum(1 << j for j in range(K) if slot[j])
+            for k in members:
+                if left[k] and (slot[k] or heard & ~pool):
+                    left[k] -= 1
+                    if not slot[k]:
+                        pending[heard | pool][k] += 1
+                        key = (users(pool), users(heard | pool), k + 1)
+                        transfers[key] = transfers.get(key, 0) + 1
+            length += 1
         per_subphase[users(pool)] = length
         total += length
     return total, per_subphase, transfers
@@ -520,6 +531,48 @@ def test_simulate_lengths_matches_a_slot_by_slot_replay(K, seed, data):
     assert res.slots_total == total
     assert list(res.slots_per_subphase.items()) == list(per_subphase.items())
     assert res.realized_transfers == transfers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([2, 256]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_both_simulators_agree_slot_for_slot_on_one_seed(K, q, seed, data):
+    delta = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9])
+                               | st.floats(0.0, 0.95), min_size=K, max_size=K))
+    N = K + data.draw(st.integers(0, 2))
+    sizes = data.draw(st.lists(st.integers(0, 30 if K <= 4 else 8),
+                               min_size=N, max_size=N))
+    mem = data.draw(st.lists(st.floats(0.0, N), min_size=K, max_size=K))
+    demand = Demand(data.draw(st.permutations(range(1, N + 1)))[:K])
+    start = data.draw(st.integers(1, K))
+    cfg = SystemConfig(K=K, N=N, delta=tuple(delta), mem=tuple(mem),
+                       file_sizes=tuple(sizes), field_order=q)
+    pm = decentralized_placement(cfg, seed)
+    # the engine before decoding: a start past phase 1 leaves packets that
+    # nobody sends, so only the main phase is comparable
+    eng = _delivered(cfg, pm, demand, seed, start_phase=start)
+    res = run_delivery_lengths(cfg, pm, demand, seed=seed, start_phase=start)
+    assert list(res.slots_per_subphase.items()) == list(
+        eng.slots_per_subphase.items())
+    assert res.realized_transfers == eng.transfers
+    assert res.slots_total == eng.slot
+
+
+def test_fastsim_chunk_bounds_change_no_result(monkeypatch):
+    # chunks only set the speed: bounds of 1..16 slots give the same
+    # outputs as 128..8192 (`_SLOTS` is derived from `_CHUNK`)
+    K, delta = 3, (0.3, 0.5, 0.7)
+    cases = [(initial_needs(cfg, decentralized_placement(cfg, 4)), 1)
+             for cfg in [cfg_of(delta, (0.4, 0.5, 0.6), 3000)]]
+    cases += [(order_start_needs(K, 2, 500), 2)]
+    want = [simulate_lengths(K, delta, needs, seed=6, start_phase=start)
+            for needs, start in cases]
+    monkeypatch.setattr(fastsim, "_MIN_CHUNK", 1)
+    monkeypatch.setattr(fastsim, "_CHUNK", 16)
+    monkeypatch.setattr(fastsim, "_SLOTS", np.arange(16)[:, None])
+    got = [simulate_lengths(K, delta, needs, seed=6, start_phase=start)
+           for needs, start in cases]
+    assert got == want
 
 
 # -- block decoder against one global elimination -----------------------------
