@@ -135,15 +135,13 @@ def feasibility(cfg: SystemConfig, r: RateVector) -> FeasibilityResult:
     return FeasibilityResult(worst <= 1.0 + FEASIBILITY_TOL, order, worst)
 
 
-class DegenerateRegionError(ValueError):
-    """The two permutation inequalities are parallel but distinct."""
-
-
 @dataclass
 class TwoUserRegion:
     """K=2 region: the two inequalities, the three boundary corner points
     (R1 axis, constraint intersection, R2 axis) and, for reference, each
-    inequality's own axis intercepts."""
+    inequality's own axis intercepts.  A user who caches the whole library
+    has w_k = 0 = w12 and bounds no rate in its own direction, so its
+    coordinates there are inf."""
 
     w1: float
     w2: float
@@ -152,22 +150,26 @@ class TwoUserRegion:
     intercepts: dict[tuple[int, int], tuple[float, float]]
 
 
+def _inv(w: float) -> float:
+    return 1.0 / w if w else inf
+
+
 def two_user_region(cfg: SystemConfig) -> TwoUserRegion:
     if cfg.K != 2:
         raise ValueError("two_user_region requires K = 2")
     _, w1, w2, w12 = _weights(cfg.p, cfg.delta)
+    # 0 <= w12 <= min(w1, w2), and w12 = 0 only when a user caches all
     det = w1 * w2 - w12 * w12
-    if abs(det) < 1e-15:
-        if abs(w1 - w12) < 1e-15 and abs(w2 - w12) < 1e-15:
-            mid = (0.5 / w1, 0.5 / w2)   # coincident constraints
-        else:
-            raise DegenerateRegionError("parallel distinct constraint pair")
-    else:
+    if not w12:
+        mid = (_inv(w1), _inv(w2))       # a box, unbounded where w_k = 0
+    elif det > 0.0:
         # w1*x + w12*y = 1 and w12*x + w2*y = 1, solved exactly
         mid = ((w2 - w12) / det, (w1 - w12) / det)
-    vertices = [(1.0 / w1, 0.0), mid, (0.0, 1.0 / w2)]
-    intercepts = {(1, 2): (1.0 / w1, 1.0 / w12),
-                  (2, 1): (1.0 / w12, 1.0 / w2)}
+    else:
+        mid = (0.5 / w1, 0.5 / w2)       # coincident constraints
+    vertices = [(_inv(w1), 0.0), mid, (0.0, _inv(w2))]
+    intercepts = {(1, 2): (_inv(w1), _inv(w12)),
+                  (2, 1): (_inv(w12), _inv(w2))}
     return TwoUserRegion(w1, w2, w12, vertices, intercepts)
 
 
@@ -378,8 +380,8 @@ def symmetric_vertex(K: int, delta: float, p: float, active) -> RateVector:
     j = bin(act).count("1")
     if j == 0:
         raise ValueError("active set must be nonempty")
-    r_sym = 1.0 / sum((1.0 - p) ** k / (1.0 - delta ** k)
-                      for k in range(1, j + 1))
+    r_sym = _inv(sum((1.0 - p) ** k / (1.0 - delta ** k)
+                     for k in range(1, j + 1)))
     return RateVector(tuple(r_sym if act >> i & 1 else 0.0 for i in range(K)))
 
 

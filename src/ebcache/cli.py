@@ -2,9 +2,9 @@
 
 Exit status: 0 on success, 1 on configuration/validation and usage
 errors, 2 on decode or identity failures.  All numeric output is rounded
-to 12 significant digits; randomness flows from --seed (default 0, never
-the environment), from which `simulate` derives independent placement
-and delivery seeds.
+to 12 significant digits, and an unbounded rate prints as null;
+randomness flows from --seed (default 0, never the environment), from
+which `simulate` derives independent placement and delivery seeds.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from math import inf
 
 from . import analysis, experiments
 from .delivery import DeliveryError, run_delivery
@@ -28,7 +29,7 @@ PLACEMENT_EXPORT_LIMIT = 100_000
 
 def _round12(doc):
     if isinstance(doc, float):
-        return float(f"{doc:.12g}")
+        return None if doc in (inf, -inf) else float(f"{doc:.12g}")
     if isinstance(doc, dict):
         return {k: _round12(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -126,26 +127,32 @@ def _cmd_simulate(args) -> int:
     demand = _parse_demand(cfg, args.demand)
     if not 1 <= args.start_phase <= cfg.K:
         raise ConfigError(f"--start-phase must be in 1..{cfg.K}")
+    # the full engine never sends the packets of skipped phases, so it
+    # cannot decode a delivery that starts past phase 1
+    if args.full and args.start_phase > 1:
+        raise ConfigError("--full needs --start-phase 1; a later start "
+                          "phase runs length-only")
     if args.cleanup_budget is not None and args.cleanup_budget < 0:
         raise ConfigError("--cleanup-budget must be >= 0")
-    pseed, dseed = experiments.trial_seeds(args.seed)
-    pm = _placement_for(cfg, args.scheme, pseed)
-    if args.export_placement:
-        if sum(cfg.file_sizes) > PLACEMENT_EXPORT_LIMIT:
-            raise ConfigError("placement export refused: instance too large")
-        with open(args.export_placement, "w") as fh:
-            json.dump(pm.to_json(), fh)
     npackets = sum(cfg.file_sizes)
-    full = not args.length_only and (args.full
-                                     or npackets <= FULL_TRACKING_AUTO_LIMIT)
+    full = not args.length_only and args.start_phase == 1 and (
+        args.full or npackets <= FULL_TRACKING_AUTO_LIMIT)
     if args.full and npackets > FULL_TRACKING_HARD_LIMIT:
         raise ConfigError(
             f"{npackets} packets is too large for full equation tracking; "
             "use --length-only")
+    if args.trace and not full:
+        raise ConfigError("--trace requires full tracking")
+    pseed, dseed = experiments.trial_seeds(args.seed)
+    pm = _placement_for(cfg, args.scheme, pseed)
+    if args.export_placement:
+        if npackets > PLACEMENT_EXPORT_LIMIT:
+            raise ConfigError("placement export refused: instance too large")
+        with open(args.export_placement, "w") as fh:
+            json.dump(pm.to_json(), fh)
     if full:
         trace = [] if args.trace else None
         res = run_delivery(cfg, pm, demand, seed=dseed,
-                           start_phase=args.start_phase,
                            cleanup_budget=args.cleanup_budget, trace=trace)
         if args.trace:
             with open(args.trace, "w", newline="") as fh:
@@ -153,8 +160,6 @@ def _cmd_simulate(args) -> int:
                 w.writerow(["slot", "subphase", "receivers", "action"])
                 w.writerows(trace)
     else:
-        if args.trace:
-            raise ConfigError("--trace requires full tracking")
         res = run_delivery_lengths(cfg, pm, demand, seed=dseed,
                                    start_phase=args.start_phase)
     doc = res.to_json()

@@ -3,15 +3,18 @@
 Phases run in ascending target-set cardinality, sub-phases in
 lexicographic order.  Sub-phase {k} broadcasts the raw uncached packets of
 user k's file until somebody hears each one; larger sub-phases send fresh
-random GF(2^8) combinations.  In a pool where every symbol has one
-wanting member, the other members know it, so a combination takes the
-next symbol of each active member, in ascending atom id, with a nonzero
-coefficient, and leaves each receiver one unknown (the XOR scheme of
-Georgiadis & Tassiulas, generalised by Wang and by Gatzianas et al.).  A
-pool where some symbol has several wanting members combines every symbol
-an active member wants.  Either way each member progresses on the same
-events, so the slots do not depend on the choice.  After each slot the
-realized receiver set drives the bookkeeping:
+random GF(2^8) combinations.  Each symbol of a pool keeps its remaining
+want, the members that still have to pin it; every other member holds
+it or pinned it there.  When the remaining wants of some symbols, cut to
+the active members, split them exactly, a combination takes the lowest
+such symbol of each part, with nonzero coefficients, and leaves each
+receiver one unknown (the XOR scheme of Georgiadis & Tassiulas,
+generalised by Wang and by Gatzianas et al.); a member that receives it
+or moves up with it has pinned its symbol.  When no exact split exists,
+it combines every symbol an active member wants.  Either way each member
+progresses on the same events, so the slots do not depend on the
+choice.  After each slot the realized receiver set drives the
+bookkeeping:
 
   * a needing receiver banks the equation and its counter drops;
   * if an outsider overheard while some needing user missed the slot, the
@@ -48,6 +51,7 @@ only elimination routine.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -292,25 +296,27 @@ class _Engine:
         needed = self.want[atoms]
         r = [int(np.count_nonzero(needed >> k0 & 1)) for k0 in range(self.K)]
         active = sum(1 << k0 for k0 in range(self.K) if r[k0])
-        # with one wanting member per atom the others know it, so each
-        # active member's next atom (ascending id) goes in, else every atom
-        # an active member wants
-        single = not (needed & (needed - 1)).any()
-        if single:
-            atoms = atoms[np.argsort(needed, kind="stable")]
-            end = np.cumsum(r).tolist()       # member k's atoms end here
+        # the pool's atoms by remaining want, cut to the active members:
+        # who has still to pin each one, lowest id first.  A member outside
+        # it never wanted the atom, and so holds it, or pinned it here.
+        heads: dict[int, list[int]] = {}
+        for a, w in zip(atoms.tolist(), needed.tolist()):
+            heads.setdefault(w, []).append(a)
         support = None
         while active:
             self.slot += 1
             if support is None:
-                # the atoms combined until a head or the active set moves
-                if single:
-                    support = atoms[[end[k - 1] - r[k - 1]
-                                     for k in users_of(active)]]
+                # the atoms combined until a head or the active set moves:
+                # one per set of an exact split of the active members, so
+                # each receiver meets one unknown, else every atom an
+                # active member wants
+                split = _exact_split(heads, active)
+                if split:
+                    support = np.array([heads[w][0] for w in split])
                 else:
                     support = atoms[np.nonzero(needed & active)[0]]
                 vals = self.vals[support]
-            coefs = self._coefs(len(support), nonzero=single)
+            coefs = self._coefs(len(support), nonzero=bool(split))
             S = self.chan.state()
             got = S & active
             moved = (active & ~S) if (S & ~pool_mask) else 0
@@ -329,13 +335,23 @@ class _Engine:
             else:
                 self._trace(pool_mask, S, "waste")
             # each user that received or moved up has one equation fewer
+            # and, after a head slot, has pinned its atom
+            done = got | moved
             finished = 0
-            for k in users_of(got | moved):
+            for k in users_of(done):
                 r[k - 1] -= 1
                 if not r[k - 1]:
                     finished |= 1 << (k - 1)
-            active &= ~finished
-            if finished or single and got | moved:
+            if split and done:
+                for w in split:
+                    if w & done:
+                        _move_head(heads, w, w & ~done)
+                support = None
+            if finished:
+                active &= ~finished
+                for w in list(heads):
+                    if w & finished:
+                        _move_group(heads, w, w & active)
                 support = None
 
     # -- decoding ----------------------------------------------------------
@@ -573,6 +589,55 @@ class _Engine:
             state.pivots = rref(state.m, n)
             solved, unresolved = self._extract(state)
         return used, solved, unresolved
+
+
+def _exact_split(sets, active: int) -> list[int] | None:
+    """Pairwise disjoint masks among `sets` whose union is `active`,
+    ordered by lowest member, or None if there are none.
+
+    A depth-first search covers the lowest uncovered member first, so the
+    sets it can use there are those whose lowest member it is, tried
+    larger first, and it remembers every uncovered set it found no cover
+    of.  At worst it visits each of the 2^n subsets of the n active
+    members once and scans the sets with its lowest member there: at most
+    2^n times the number of sets, which is at most the pool's atoms.
+    """
+    by_low: dict[int, list[int]] = {}
+    for T in sorted(sets, key=lambda T: (-T.bit_count(), T)):
+        by_low.setdefault(T & -T, []).append(T)
+    dead: set[int] = set()
+
+    def cover(U: int) -> list[int] | None:
+        if not U:
+            return []
+        if U not in dead:
+            for T in by_low.get(U & -U, ()):
+                if T & U == T:
+                    rest = cover(U ^ T)
+                    if rest is not None:
+                        return [T, *rest]
+            dead.add(U)
+        return None
+
+    return cover(active)
+
+
+def _move_head(heads: dict[int, list[int]], w: int, new: int) -> None:
+    """Move the lowest atom of group `w` to group `new` (none if 0)."""
+    atom = heapq.heappop(heads[w])
+    if not heads[w]:
+        del heads[w]
+    if new:
+        heapq.heappush(heads.setdefault(new, []), atom)
+
+
+def _move_group(heads: dict[int, list[int]], w: int, new: int) -> None:
+    """Merge group `w` into group `new` (drop it if 0)."""
+    group = heads.pop(w)
+    if new:
+        group += heads.get(new, [])
+        heapq.heapify(group)
+        heads[new] = group
 
 
 def _gather(rows: _Rows, ranges: list[tuple[int, int]]):

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import replace
+from math import inf
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebcache import analysis
-from ebcache.analysis import (DegenerateRegionError, decomposition_residual,
+from ebcache.analysis import (decomposition_residual,
                               feasibility, miso_dof_coefficient,
                               order_capacity, permutation_dominance,
                               phase_plan, random_one_sided_fair,
@@ -210,13 +212,23 @@ def test_two_user_region_noiseless_link_collapses():
     assert x + y == pytest.approx(1.0, abs=1e-12)
 
 
-def test_two_user_region_parallel_distinct_reported():
-    # a full cache at user 1 zeroes w1 and w12 while w2 = 1: the two
-    # constraints are parallel but distinct
-    bad = SystemConfig(K=2, N=2, delta=(0.5, 0.0), mem=(2.0, 0.0),
-                       file_sizes=(1, 1))
-    with pytest.raises(DegenerateRegionError):
-        two_user_region(bad)
+def test_two_user_region_full_cache_leaves_its_rate_unbounded():
+    # a full cache at user 1 zeroes w1 and w12 while w2 = 1: user 1 bounds
+    # no rate, so the region is the strip R2 <= 1
+    full = SystemConfig(K=2, N=2, delta=(0.5, 0.0), mem=(2.0, 0.0),
+                        file_sizes=(1, 1))
+    r = two_user_region(full)
+    assert r.vertices == [(inf, 0.0), (inf, 1.0), (0.0, 1.0)]
+    assert r.intercepts == {(1, 2): (inf, inf), (2, 1): (inf, 1.0)}
+    r = two_user_region(replace(full, mem=(2.0, 2.0)))
+    assert r.vertices == [(inf, 0.0), (inf, inf), (0.0, inf)]
+    # a cache one rounding step short of full still meets both
+    # constraints at one point, however small w1 and w12 are
+    r = two_user_region(replace(full, mem=(2.0 - 2.0 ** -52, 0.0)))
+    (x, y), w = r.vertices[1], (r.w1, r.w2, r.w12)
+    assert 0.0 < w[0] < 1e-15
+    assert w[0] * x + w[2] * y == pytest.approx(1.0, rel=1e-12)
+    assert w[2] * x + w[1] * y == pytest.approx(1.0, rel=1e-12)
 
 
 def test_two_user_region_requires_k2():

@@ -106,16 +106,24 @@ def test_simulate_derives_placement_and_delivery_seeds(capsys, sym3):
     assert doc["seed"] == 5
 
 
+# Only dense combinations, sent where the remaining wants of a pool's
+# atoms split the active members no exact way, need cleanup.  Scanning
+# K=3, q=2 configs with δ, then p, over 0.2, 0.3, ..., 0.8, and for each
+# F = 1..30, then --seed 0..9, this is the first that needs it (3 slots).
+CLEANUP_Q2 = {"K": 3, "N": 3, "delta": [0.5] * 3, "mem": [0.6] * 3,
+              "file_sizes": [6] * 3, "field_order": 2}
+CLEANUP_SEED = "9"
+
+
 def test_simulate_full_and_length_only_agree_slot_for_slot(capsys, tmp_path):
-    # both modes read one channel stream per delivery seed; the binary
-    # field makes the full engine spend cleanup slots past the main phase
+    # both modes read one channel stream per delivery seed; the instance
+    # makes the full engine spend cleanup slots past the main phase
     path = tmp_path / "gf2.json"
-    path.write_text(json.dumps({**SYM3, "delta": [0.3, 0.4, 0.5],
-                                "file_sizes": [60] * 3, "field_order": 2}))
+    path.write_text(json.dumps(CLEANUP_Q2))
     docs = []
     for mode in ("--full", "--length-only"):
         code, out = run(capsys, ["simulate", "--config", str(path),
-                                 "--seed", "1", mode])
+                                 "--seed", CLEANUP_SEED, mode])
         assert code == 0
         docs.append(json.loads(out))
     full, fast = docs
@@ -139,6 +147,18 @@ def test_simulate_start_phase_skips_lower_pools(capsys, two_user):
     assert code == 0
     doc = json.loads(out)
     assert all(not k.startswith("[1]") for k in doc["slots_per_subphase"])
+
+
+def test_simulate_past_phase_1_runs_length_only(capsys, sym3):
+    # the full engine never sends the skipped phase-1 packets, so the
+    # automatic choice takes the length-only engine, which `--full` cannot
+    # override (see the exit-1 cases below)
+    code, out = run(capsys, ["simulate", "--config", sym3, "--F", "50",
+                             "--start-phase", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mode"] == "length" and doc["cleanup_slots"] == 0
+    assert "[1]" not in doc["slots_per_subphase"]
 
 
 def test_sweep_csv_header_and_round_trip(capsys, tmp_path):
@@ -209,14 +229,9 @@ def test_unsupported_field_order_is_exit_1(capsys, tmp_path):
 
 
 def test_decode_failure_is_exit_2(capsys, tmp_path):
-    # Only pools where several members want one atom can need cleanup, and
-    # at K=2 there are none.  F=7, --seed 4 is the smallest F, then seed
-    # (F = 1..59, seeds 0..9), of this K=3, q=2 config that needs it.
     cfgp = tmp_path / "q2.json"
-    cfgp.write_text(json.dumps({"K": 3, "N": 3, "delta": [0.2] * 3,
-                                "mem": [1.5] * 3, "file_sizes": [7] * 3,
-                                "field_order": 2}))
-    code = main(["simulate", "--config", str(cfgp), "--seed", "4",
+    cfgp.write_text(json.dumps(CLEANUP_Q2))
+    code = main(["simulate", "--config", str(cfgp), "--seed", CLEANUP_SEED,
                  "--cleanup-budget", "0"])
     assert code == 2
 
@@ -239,6 +254,7 @@ def test_decode_failure_is_exit_2(capsys, tmp_path):
      "--F", "10"],
     ["sweep", "--vary", "mem", "--grid", "0", "--trials", "2", "--jobs", "1",
      "--F", str(MAX_FILE_PACKETS + 1)],
+    ["simulate", "--start-phase", "2", "--full"],
 ])
 def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
     code = main([argv[0], "--config", two_user, *argv[1:]])
@@ -256,6 +272,8 @@ def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
     ["simulate", "--demand", "x,1"],
     ["simulate", "--length-only", "--trace", "trace.csv"],
     ["simulate", "--scheme", "centralized"],      # b = M K / N = 2/3
+    ["simulate", "--start-phase", "2", "--trace", "trace.csv",
+     "--export-placement", "pm.json"],
 ])
 def test_bad_inputs_are_exit_1(capsys, monkeypatch, tmp_path, two_user, argv):
     monkeypatch.chdir(tmp_path)
@@ -264,6 +282,7 @@ def test_bad_inputs_are_exit_1(capsys, monkeypatch, tmp_path, two_user, argv):
     assert code == 1
     assert captured.err.startswith("error: ") and not captured.out
     assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "pm.json").exists()
 
 
 def test_config_count_that_is_not_whole_is_exit_1(capsys, tmp_path):
@@ -345,6 +364,21 @@ def test_region_reports_symmetric_vertex_only_when_symmetric(capsys, sym3,
         list(want), rel=1e-11)
     _, out = run(capsys, ["region", "--config", two_user])
     assert "symmetric_vertex_rates" not in json.loads(out)
+
+
+@pytest.mark.parametrize("mem", [[2, 0], [2, 2]])
+def test_region_reports_a_full_cache_rate_as_unbounded(capsys, tmp_path,
+                                                       mem):
+    # a user who caches the whole library bounds no rate of its own
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps({"K": 2, "N": 2, "delta": [0.5, 0.5],
+                                "mem": mem, "file_sizes": [1, 1]}))
+    code, out = run(capsys, ["region", "--config", str(path)])
+    assert code == 0 and "Infinity" not in out
+    doc = json.loads(out)
+    R2 = None if mem[1] == 2 else 0.5
+    assert doc["vertices"] == [[None, 0.0], [None, R2], [0.0, R2]]
+    assert doc.get("symmetric_vertex_rates", [None, None]) == [None, None]
 
 
 def test_sweep_json_output(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from ebcache.experiments import trial_seeds
 from ebcache.gf256 import MUL, InconsistentSystemError, rref
 from ebcache.fastsim import (initial_needs, order_start_needs,
                              run_delivery_lengths, simulate_lengths)
-from ebcache.model import (Demand, SystemConfig, mask_of, subsets_ascending,
-                           users_of)
+from ebcache.model import (MAX_K, Demand, SystemConfig, mask_of,
+                           subsets_ascending, users_of)
 from ebcache.placement import centralized_placement, decentralized_placement
 
 
@@ -146,26 +147,30 @@ def test_determinism_same_seed_same_result():
                for k in a.recovered)
 
 
-# Only a pool holding an atom that several members want sends dense
-# combinations that can fall short of rank, and at K=2 none does.  This is
-# the smallest F, then seed (placement and delivery alike, F = 1..59,
-# seeds 0..9), of K=3, q=2, δ=0.2, p=0.5 that needs cleanup.
-CLEANUP_CFG = cfg_of((0.2,) * 3, (0.5,) * 3, 10, q=2)
+# Only a dense combination, sent where the remaining wants of a pool's
+# atoms split the active members no exact way, can fall short of rank, and
+# at K=2 none is sent.  Scanning K=3, q=2 configs with δ, then p, over
+# 0.2, 0.3, ..., 0.8, and for each F = 1..30, then seeds 0..9 (placement
+# and delivery alike), this is the first instance that needs cleanup.
+CLEANUP_CFG = cfg_of((0.5,) * 3, (0.3,) * 3, 11, q=2)
+CLEANUP_SEED = 4
 
 
 def test_binary_field_forces_cleanup_then_succeeds():
-    pm = decentralized_placement(CLEANUP_CFG, 0)
-    res = run_delivery(CLEANUP_CFG, pm, seed=0)
+    pm = decentralized_placement(CLEANUP_CFG, CLEANUP_SEED)
+    res = run_delivery(CLEANUP_CFG, pm, seed=CLEANUP_SEED)
     assert res.cleanup_slots >= 1
     assert res.decode_ok == [True] * 3
     assert res.slots_total == (sum(res.slots_per_subphase.values())
                                + res.cleanup_slots)
+    eng = _delivered(CLEANUP_CFG, pm, Demand.identity(3), CLEANUP_SEED)
+    assert check_multicast_pools(eng) > 0
 
 
 def test_cleanup_budget_zero_is_a_hard_failure():
-    pm = decentralized_placement(CLEANUP_CFG, 0)
+    pm = decentralized_placement(CLEANUP_CFG, CLEANUP_SEED)
     with pytest.raises(CleanupBudgetExceeded) as err:
-        run_delivery(CLEANUP_CFG, pm, seed=0, cleanup_budget=0)
+        run_delivery(CLEANUP_CFG, pm, seed=CLEANUP_SEED, cleanup_budget=0)
     # conservation: the failure names what is missing
     assert err.value.unresolved
 
@@ -246,14 +251,18 @@ def test_seeded_outputs_are_pinned():
     # (7 -> 4, total 55 -> 52) when pools where each atom has one wanting
     # member came to send one atom per active member: those rows can no
     # longer fall short, and the coefficient stream left for the dense
-    # pools moved.  Sub-phase slots, transfers and bytes did not move.
+    # pools moved.  Sub-phase slots, transfers and bytes did not move.  It
+    # was recorded again (4 -> 0, total 52 -> 48) when every pool whose
+    # remaining wants split the active members exactly came to send one
+    # atom per member: every pool of this instance splits, so no row can
+    # fall short.  Sub-phase slots, transfers and bytes did not move.
     cfg = SystemConfig(K=3, N=3, delta=(0.3, 0.4, 0.5), mem=(1.2, 1.5, 1.8),
                        file_sizes=(40,) * 3, field_order=2)
     res = run_delivery(cfg, decentralized_placement(cfg, 11), Demand((2, 3, 1)),
                        seed=12, payload_len=2)
     assert res.slots_per_subphase == {(1,): 5, (2,): 3, (3,): 3, (1, 2): 7,
                                       (1, 3): 5, (2, 3): 9, (1, 2, 3): 16}
-    assert res.cleanup_slots == 4 and res.slots_total == 52
+    assert res.cleanup_slots == 0 and res.slots_total == 48
     assert res.realized_transfers == {
         ((1,), (1, 2, 3), 1): 1, ((1, 2), (1, 2, 3), 1): 2,
         ((1, 2), (1, 2, 3), 2): 2, ((1, 3), (1, 2, 3), 3): 2,
@@ -335,6 +344,122 @@ def test_single_want_pools_send_one_atom_per_active_member(K, F, q, seed,
             for k in users_of(S & act | (act & ~S if S & ~J else 0)):
                 queue[k].pop(0)
         assert not any(queue.values())
+
+
+def _partitions(U: int):
+    """Every set partition of the bits of U, each as a list of masks."""
+    if not U:
+        yield []
+        return
+    low, rest = U & -U, U & (U - 1)
+    sub = rest
+    while True:
+        for part in _partitions(rest & ~sub):
+            yield [low | sub, *part]
+        if not sub:
+            return
+        sub = (sub - 1) & rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_exact_split_finds_a_partition_whenever_one_exists(n, data):
+    U = (1 << n) - 1
+    sets = data.draw(st.sets(st.integers(1, U), max_size=12))
+    split = delivery._exact_split(sets, U)
+    exists = any(all(T in sets for T in P) for P in _partitions(U))
+    assert (split is not None) == exists
+    if split is not None:
+        assert set(split) <= sets and sum(split) == U
+        assert split == sorted(split, key=lambda T: T & -T)
+        assert all(a & b == 0 for i, a in enumerate(split)
+                   for b in split[i + 1:])
+
+
+def check_multicast_pools(eng) -> int:
+    """Replay every multicast pool from the receiver set of each slot
+    heard, and return how many dense combinations were sent.
+
+    An atom's remaining want starts as its want, and a member that
+    received or moved up on a head combination leaves the want of its atom
+    there.  Where the remaining wants of some atoms, cut to the active
+    members, partition them exactly, the combination carries the lowest
+    such atom of each part, ordered by lowest member, with nonzero
+    coefficients: each active member meets one atom it still has to pin
+    and holds the rest.  Elsewhere, and only where no set partition of the
+    active members is made of the replayed sets, it carries every atom an
+    active member wants."""
+    seat, want = eng.seat[:eng.next_atom], eng.want[:eng.next_atom]
+    dense = 0
+    for J in subsets_ascending(eng.K):
+        members = np.flatnonzero(seat == J).tolist()
+        if len(users_of(J)) < 2 or not members:
+            continue
+        rem = {a: int(want[a]) for a in members}
+        r = {k: sum(rem[a] >> (k - 1) & 1 for a in members)
+             for k in users_of(J)}
+        for atom in (a for a in eng.combos if eng.src[a] == J):
+            ids, cs = (x.tolist() for x in eng.combos[atom])
+            active = mask_of([k for k in users_of(J) if r[k]])
+            cut = {a: rem[a] & active for a in members}
+            sets = set(cut.values()) - {0}
+            head = any(all(T in sets for T in P) for P in _partitions(active))
+            if head:
+                parts = [cut[a] for a in ids]
+                assert sum(parts) == active
+                assert parts == sorted(parts, key=lambda T: T & -T)
+                assert all(a == min(b for b in members if cut[b] == T)
+                           for a, T in zip(ids, parts))
+                assert all(cs)
+                for k in users_of(active):
+                    assert sum(rem[a] >> (k - 1) & 1 for a in ids) == 1
+                    assert all(_holds(eng, k - 1, a) for a in ids
+                               if not rem[a] >> (k - 1) & 1)
+            else:
+                assert ids == [a for a in members if want[a] & active]
+                dense += 1
+            S = int(eng.heard[atom])
+            done = S & active | (active & ~S if S & ~J else 0)
+            for k in users_of(done):
+                r[k] -= 1
+            if head:
+                for a in ids:
+                    rem[a] &= ~done
+        assert not any(r.values())
+    return dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 30), st.sampled_from([2, 256]),
+       st.integers(0, 10_000), st.data())
+def test_multicast_pools_send_one_atom_per_active_member_when_wants_split(
+        K, F, q, seed, data):
+    delta = data.draw(st.lists(st.floats(0.0, 0.8), min_size=K, max_size=K))
+    p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
+    demand = Demand(tuple(data.draw(st.permutations(range(1, K + 1)))))
+    cfg = cfg_of(delta, p, F, q=q)
+    check_multicast_pools(_delivered(cfg, decentralized_placement(cfg, seed),
+                                     demand, seed + 1))
+
+
+def test_full_engine_at_max_k_with_tiny_files_finishes():
+    # Every pool of a K = MAX_K delivery can hold atoms that several
+    # members want.  Choosing a support searches for an exact split of the
+    # n <= 16 active members: it visits each of the 2^n uncovered sets at
+    # most once and scans the sets with that set's lowest member, so at
+    # worst 2^16 times the pool's distinct remaining wants.  A pool with no
+    # split at all costs most: all 560 three-member sets of 16 members
+    # took 0.03 s, all 4368 five-member sets 0.22 s.  This run took
+    # 0.3-0.6 s on a 2-vCPU x86-64 host, most of it in visiting the 2^16
+    # pools; the bound leaves room for a slow machine.
+    cfg = SystemConfig(K=MAX_K, N=MAX_K, delta=(0.9,) * MAX_K,
+                       mem=(2,) * MAX_K, file_sizes=(3,) * MAX_K)
+    pm = decentralized_placement(cfg, 1)
+    start = time.perf_counter()
+    res = run_delivery(cfg, pm, seed=2)
+    assert time.perf_counter() - start < 20.0
+    assert res.decode_ok == [True] * MAX_K
+    assert len(res.slots_per_subphase) > 2 * MAX_K
 
 
 def test_centralized_delivery_decodes():
@@ -647,15 +772,18 @@ def test_block_decoder_merges_pools_closed_in_a_cycle():
     # user 4 meets a promoted combination it neither heard nor needs whose
     # pool of origin depends on the pool it reached: one merged block.
     # The instance is the first placement seed s in 0..59, with delivery
-    # seed 100 + s, whose decode of user 4 merges a block.
-    cfg = cfg_of((0.2, 0.3, 0.4, 0.5), (0.5, 0.4, 0.3, 0.6), 40)
-    pm = decentralized_placement(cfg, 29)
-    eng = _delivered(cfg, pm, Demand.identity(4), 129)
+    # seed 100 + s, whose decode of user 4 merges a block.  Such cycles
+    # need a pool atom that several members want, which takes more
+    # erasures than with dense combinations: at δ = 0.2..0.5 no seed in
+    # 0..299 has one.
+    cfg = cfg_of((0.4, 0.5, 0.6, 0.7), (0.5, 0.4, 0.3, 0.6), 40)
+    pm = decentralized_placement(cfg, 28)
+    eng = _delivered(cfg, pm, Demand.identity(4), 128)
     solved, unresolved, state = eng.decode_user(4)
     assert state.merged >= 1
     assert not unresolved
     assert set(solved) == set(global_solve(eng, 4))
-    res = run_delivery(cfg, pm, seed=129)
+    res = run_delivery(cfg, pm, seed=128)
     assert res.decode_ok == [True] * 4
 
 
