@@ -484,13 +484,22 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
     """Randomized verification of the internal identities: alternating sum
     vs recursion, the weights lemma, the aggregate-length identity, the
     capacity decomposition, the phase-start recursion, worst-user ordering
-    and permutation dominance."""
+    and permutation dominance.
+
+    K (2..6) bounds the users of the random instances, of which each
+    randomized check draws `samples` (at least 1); other values raise
+    ValueError before any work."""
+    if not 2 <= K <= 6:
+        raise ValueError(f"identity suite K must be in 2..6, got {K}")
+    if samples < 1:
+        raise ValueError(f"identity suite samples must be at least 1, "
+                         f"got {samples}")
     rng = np.random.default_rng(seed)
     rep = IdentityReport()
 
     r_alt = r_agg = r_lem = 0.0
     for _ in range(samples):
-        kk = int(rng.integers(2, min(K, 6) + 1))
+        kk = int(rng.integers(2, K + 1))
         d = tuple(rng.uniform(0.0, 0.95, kk))
         p = tuple(rng.uniform(0.0, 1.0, kk))
         F = tuple(rng.uniform(0.1, 3.0, kk))

@@ -112,12 +112,13 @@ def _placement_for(cfg, scheme, seed):
     return decentralized_placement(cfg, seed)
 
 
-# packets; above this, length-only.  bench/baselines.py timed full
-# tracking with decoding at K=3, p=0.5, delta=0.3 (2-vCPU x86-64 host,
-# Python 3.11, numpy 2.4, medians of three runs): 3k, 6k and 12k packets
-# in 0.18, 0.56 and 3.1 s.  Each doubling cost 3.1x, then 5.6x more, so
-# 60k packets would take minutes; 12k is the largest size measured to
-# finish in seconds.
+# packets; above this, length-only.  Full tracking with decoding at K=3,
+# p=0.5, delta=0.3, timed as bench/baselines.py does (2-vCPU x86-64
+# host, Python 3.11, numpy 2.4, seeds 1 and 2, medians of three runs,
+# three sessions): 3k, 6k, 12k and 60k packets in 0.04-0.07, 0.09-0.13,
+# 0.15-0.27 and 1.6-2.0 s.  Larger instances would now finish in
+# seconds too; the limit stays at 12k so that the same configs decode
+# by default as when it was set, and `--full` reaches the rest.
 FULL_TRACKING_AUTO_LIMIT = 12_000
 FULL_TRACKING_HARD_LIMIT = 300_000
 

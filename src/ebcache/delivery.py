@@ -39,14 +39,12 @@ dependency order with solved values folded into later right-hand sides;
 pools closed in a cycle are merged into one block.  A user's rows are
 built in one CSR layout (row node, columns, coefficients, right-hand
 side) by a few vectorized passes, and each block is filled with one
-scatter.  Blocks go through `gf256.rref`'s block mode: forward
-elimination of a square subset of the rows, back-substitution of the
-right-hand side, and a check of every other row by substitution.
-Rank-deficient blocks and everything downstream of them form one
-residual system, fully reduced, and its rare shortfalls from unlucky
-coefficients are repaired by a feedback cleanup round, which stacks each
-row it hears under the residual and reduces again.  `gf256.rref` is the
-only elimination routine.
+scatter.  `gf256.rref`, the only elimination routine, brings every
+block to reduced row echelon form.  Rank-deficient blocks and everything
+downstream of them form one residual system, reduced the same way, and
+its rare shortfalls from unlucky coefficients are repaired by a feedback
+cleanup round, which stacks each row it hears under the residual and
+reduces again.
 """
 
 from __future__ import annotations
@@ -462,12 +460,13 @@ class _Engine:
         eliminated in dependency order, nodes closed in a cycle merged
         into one block, and solved values are folded into the right-hand
         sides of later blocks by segment XOR; a row left with no unknown
-        must read 0 = 0.  Each block is filled with one scatter and
-        eliminated in `rref`'s block mode, the first rows of each node
-        leading, so that the rows heard after a user stopped needing
-        anything there are, as a rule, only checked by substitution.
-        A rank-deficient block and every block downstream of it go into
-        one residual system, fully reduced.
+        must read 0 = 0.  Each block is filled with one scatter, its rows
+        node by node in send order, and brought to reduced row echelon
+        form by `rref`, whose final check catches a redundant row that
+        reads 0 = nonzero.  Since every receiver meets one unknown per
+        combination, nearly every block is triangular in send order.  A
+        rank-deficient block and every block downstream of it go into one
+        residual system, reduced the same way.
 
         Returns (solved {packet id: value row}, unresolved demanded ids,
         the residual state for cleanup continuation).
@@ -504,13 +503,8 @@ class _Engine:
             bcols = np.concatenate([np.arange(col_lo[i], col_hi[i])
                                     for i in idx])
             n = len(bcols)
-            # each node's first rows, as many as its columns, then the rest
-            lead, rest = [], []
-            for i in idx:
-                cut = min(row_hi[i], row_lo[i] + col_hi[i] - col_lo[i])
-                lead.append((row_lo[i], cut))
-                rest.append((cut, row_hi[i]))
-            pos, c, cs, rhs = _gather(rows, lead + rest)
+            pos, c, cs, rhs = _gather(rows, [(row_lo[i], row_hi[i])
+                                             for i in idx])
             st = status[c]
             done = st == 1
             if done.any():
@@ -527,7 +521,7 @@ class _Engine:
                 if n == 0:
                     continue
                 m = _fill(pos, c, cs, rhs, bcols, loc)
-                pivots = rref(m, n, reduce=False)
+                pivots = rref(m, n)
                 if len(pivots) == n:
                     pc = np.fromiter(pivots.keys(), np.int64, n)
                     pr = np.fromiter(pivots.values(), np.int64, n)

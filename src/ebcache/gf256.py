@@ -5,16 +5,16 @@ from the generator 0x03.  Addition is XOR.  All heavy operations go
 through numpy uint8 arrays and a precomputed 256x256 product table, which
 is fast enough for desk-scale decoding.
 
-`rref` is the one elimination routine, with two modes.  Full reduction
-clears every pivot column above and below its pivot; a system that grows
-by a row is stacked and reduced again.  Block mode clears only below each
-pivot, back-substitutes the right-hand side alone, eliminates a square
-subset of the rows and checks the rest by substitution.  Row updates
-are row gathers: the 256-byte rows of MUL for the coefficients, indexed
-by the pivot row (`MUL[coefs][:, pivot_row]`), over a plain slice of the
-rows when every coefficient is nonzero and over the nonzero rows
-otherwise.  `gf_fold` accumulates products into the rows of a
-right-hand side by segment XOR, in bounded chunks.
+`rref` is the one elimination routine, and it has one mode: reduced row
+echelon form, every pivot column cleared above and below its pivot, and
+one final check that no row reads 0 = nonzero.  Decode blocks, the
+residual system and cleanup all go through it; a system that grows by a
+row is stacked and reduced again.  Row updates are row gathers: the
+256-byte rows of MUL for the coefficients, indexed by the pivot row
+(`MUL[coefs][:, pivot_row]`), over a plain slice of the rows when every
+coefficient is nonzero and over the nonzero rows otherwise.  `gf_fold`
+accumulates products into the rows of a right-hand side by segment XOR,
+in bounded chunks.
 """
 
 from __future__ import annotations
@@ -118,39 +118,25 @@ def _axpy(dst: np.ndarray, coefs: np.ndarray, row: np.ndarray) -> None:
                  else MUL[cs][:, row])
 
 
-def rref(matrix: np.ndarray, ncols: int, reduce: bool = True) -> dict[int, int]:
-    """Gaussian elimination over GF(2^8), in place.
+def rref(matrix: np.ndarray, ncols: int) -> dict[int, int]:
+    """Reduced row echelon form over GF(2^8), in place.
 
     `matrix` is uint8 with shape (rows, ncols + rhs_width); columns past
     `ncols` are the right-hand side.  Returns {pivot column: row index},
-    each pivot scaled to 1.  In either mode row pivots[c] of the
-    right-hand side then holds unknown c of the solution whose free
-    unknowns are zero, and InconsistentSystemError is raised when any row
-    reads 0 = nonzero.
-
-    `reduce` selects reduced row echelon form: every pivot column cleared
-    above and below its pivot, which tells which unknowns a rank-deficient
-    system fixes.  Without it (block mode) each pivot column is cleared
-    below the pivot only and the right-hand side is back-substituted.  The
-    square subset of the first `ncols` rows is eliminated first; the
-    other rows join, reduced by every pivot so far, only when a column
-    finds no pivot among them.  When the subset has full rank, each other
-    row is checked by substituting the solution.
+    each pivot scaled to 1 and its column cleared above and below it.
+    Row pivots[c] of the right-hand side then holds unknown c of the
+    solution whose free unknowns are zero, and a pivot row with no other
+    nonzero coefficient fixes its unknown alone.  InconsistentSystemError
+    is raised when a row left without a pivot reads 0 = nonzero.
     """
     nrows = matrix.shape[0]
     pivots: dict[int, int] = {}
-    top = nrows if reduce else min(nrows, ncols)     # rows in elimination
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
         if matrix[r, c] == 0:
-            hits = matrix[r:top, c].nonzero()[0]
-            if len(hits) == 0 and top < nrows:
-                for pc, pr in pivots.items():
-                    _axpy(matrix[top:, pc:], matrix[top:, pc], matrix[pr, pc:])
-                top = nrows
-                hits = matrix[r:, c].nonzero()[0]
+            hits = matrix[r:, c].nonzero()[0]
             if len(hits) == 0:
                 continue
             pr = r + int(hits[0])
@@ -159,22 +145,10 @@ def rref(matrix: np.ndarray, ncols: int, reduce: bool = True) -> dict[int, int]:
             matrix[r, c:] = MUL[INV[matrix[r, c]], matrix[r, c:]]
         # columns left of c are already zero in the pivot row
         prow = matrix[r, c:]
-        _axpy(matrix[r + 1:top, c:], matrix[r + 1:top, c], prow)
-        if reduce:
-            _axpy(matrix[:r, c:], matrix[:r, c], prow)
+        _axpy(matrix[r + 1:, c:], matrix[r + 1:, c], prow)
+        _axpy(matrix[:r, c:], matrix[:r, c], prow)
         pivots[c] = r
         r += 1
-    if matrix[r:top, ncols:].any():
+    if matrix[r:, ncols:].any():
         raise InconsistentSystemError("contradictory equation")
-    if not reduce:
-        rhs = matrix[:, ncols:]
-        for c, pr in reversed(pivots.items()):
-            _axpy(rhs[:pr], matrix[:pr, c], rhs[pr])
-        if top < nrows:
-            # full rank, so pivots[c] == c: substitute into the other rows
-            check = rhs[top:].copy()
-            for c in range(ncols):
-                _axpy(check, matrix[top:, c], rhs[c])
-            if check.any():
-                raise InconsistentSystemError("contradictory equation")
     return pivots

@@ -2,7 +2,8 @@
 replaced by a wild value, run through `cli.main` in process with
 generated flags.
 Every run must end with exit 0, 1 or 2, raise nothing past `main`, and
-print an `error:` line when it exits 1."""
+print an `error:` line when it exits 1.  `verify` takes no config and is
+fuzzed on its own bounds."""
 
 import contextlib
 import io
@@ -75,17 +76,34 @@ def flags(draw):
     return argv
 
 
+def _run(argv):
+    """Exit status and stderr of `main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # usage errors exit through argparse
+            code = exc.code
+    return code, err.getvalue()
+
+
 @settings(max_examples=300, deadline=None)
 @given(doc=configs(), argv=flags())
 def test_fuzzed_cli_exits_0_1_or_2(tmp_path_factory, doc, argv):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([argv[0], "--config", str(path), *argv[1:]])
-        except SystemExit as exc:       # usage errors exit through argparse
-            code = exc.code
+    code, err = _run([argv[0], "--config", str(path), *argv[1:]])
     assert code in (0, 1, 2)
     if code == 1:
-        assert "error: " in err.getvalue()
+        assert "error: " in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.sampled_from([-1, 0, 1, 2, 6, 7]),
+       samples=st.sampled_from([-1, 0, 1, 2, 6, 7]))
+def test_fuzzed_verify_bounds(K, samples):
+    code, err = _run(["verify", "--K", str(K), "--samples", str(samples)])
+    if 2 <= K <= 6 and samples >= 1:
+        assert code == 0
+    else:
+        assert code == 1 and "error: " in err

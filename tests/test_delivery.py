@@ -788,6 +788,32 @@ def test_block_decoder_merges_pools_closed_in_a_cycle():
 
 
 
+def test_decoder_checks_a_redundant_row_that_still_holds_an_unknown():
+    # a node whose rows holding one of its own unknowns outnumber its
+    # columns has a redundant row; with the value of the last such
+    # combination the user heard corrupted, elimination leaves a row
+    # reading 0 = nonzero, which must raise.  The instance is the first
+    # of a scan over s = 0..299: K = 3 + s % 2, δ ~ U(0.3, 0.8) and
+    # p ~ U(0, 1) drawn from default_rng(s) and rounded to 2 places,
+    # F = 30, placement seed s and delivery seed s + 1.  The scan met 155
+    # such nodes; the first is s = 2, user 2, pool {1, 2, 3}.
+    cfg = cfg_of((0.43, 0.45, 0.71), (0.09, 0.6, 0.73), 30)
+    eng = _delivered(cfg, decentralized_placement(cfg, 2), Demand.identity(3), 3)
+    k0, v = 1, 7
+    rows, atom_of, node_of = eng._user_system(k0, eng._known(k0))
+    entry_row = np.repeat(np.arange(len(rows.node)), np.diff(rows.ptr))
+    own = node_of[rows.col] == rows.node[entry_row]
+    holding = np.unique(entry_row[own])
+    assert (rows.node[holding] == v).sum() > (node_of == v).sum()
+    cols = atom_of[node_of == v]
+    heard = np.nonzero(eng.heard & eng.src & 1 << k0)[0]
+    atom = max(a for a in heard[eng.src[heard] == v].tolist()
+               if np.isin(eng.combos[a][0], cols).any())
+    eng.vals[atom] ^= 1
+    with pytest.raises(InconsistentSystemError):
+        eng.decode_user(k0 + 1)
+
+
 def test_decoder_checks_a_row_left_with_no_unknown():
     # a combination user 1 heard after it knew every atom in it folds to
     # 0 = 0; a corrupted value must raise, not vanish with the row
