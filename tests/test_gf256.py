@@ -190,10 +190,21 @@ def test_corrupted_redundant_row_raises(n, extra, q, width, late, seed):
         rref(m, n)
 
 
-def test_rref_of_empty_systems():
+@pytest.mark.parametrize("view", [False, True])
+def test_rref_of_empty_systems(view):
+    # view: the system is a strided slice of a wider buffer, as when a
+    # caller reduces part of a larger matrix in place
+    def system(values):
+        values = np.asarray(values, dtype=np.uint8)
+        if not view:
+            return values
+        buf = np.zeros((values.shape[0], 2 * values.shape[1] + 1), np.uint8)
+        buf[:, ::2][:, :values.shape[1]] = values
+        return buf[:, ::2][:, :values.shape[1]]
+
     for rows, n, width in ((0, 0, 1), (0, 3, 2), (2, 0, 1)):
-        m = np.zeros((rows, n + width), dtype=np.uint8)
+        m = system(np.zeros((rows, n + width)))
         assert rref(m, n) == {}
     # no unknowns: a row reading 0 = nonzero still raises
     with pytest.raises(InconsistentSystemError):
-        rref(np.array([[0], [7]], dtype=np.uint8), 0)
+        rref(system([[0], [7]]), 0)
