@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (Demand, RateVector, SystemConfig, mask_of,
+from .model import (Demand, RateVector, SystemConfig, demand_for, mask_of,
                     subsets_ascending, users_of)
 from .placement import PlacementMap
 
@@ -179,7 +179,7 @@ def _sizes_for(cfg: SystemConfig, demand: Demand | None,
         if len(sizes) != cfg.K:
             raise ValueError("need one size per user")
         return tuple(float(s) for s in sizes)
-    demand = demand or Demand.identity(cfg.K)
+    demand = demand_for(cfg, demand)
     return tuple(float(cfg.file_sizes[demand.file_of(k) - 1])
                  for k in range(1, cfg.K + 1))
 
@@ -543,7 +543,7 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
 
     r_plan = 0.0
     for _ in range(samples):
-        kk = int(rng.integers(2, min(K, 5) + 1))
+        kk = int(rng.integers(2, K + 1))
         d, p, rates = random_one_sided_fair(kk, rng)
         cfg = _cfg_from(d, p)
         plan = phase_plan(cfg, sizes=rates)

@@ -19,9 +19,8 @@ from math import inf
 
 from . import analysis, experiments
 from .delivery import DeliveryError, run_delivery
-from .fastsim import run_delivery_lengths
-from .model import (ConfigError, Demand, RateVector, load_config,
-                    validate_demand)
+from .fastsim import initial_needs, simulate_lengths
+from .model import ConfigError, Demand, RateVector, demand_for, load_config
 from .placement import centralized_placement, decentralized_placement
 
 PLACEMENT_EXPORT_LIMIT = 100_000
@@ -57,11 +56,8 @@ def _load(args):
 
 
 def _parse_demand(cfg, text):
-    if not text:
-        return Demand.identity(cfg.K)
-    demand = Demand(tuple(int(x) for x in text.split(",")))
-    validate_demand(cfg, demand)
-    return demand
+    demand = Demand(tuple(int(x) for x in text.split(","))) if text else None
+    return demand_for(cfg, demand)
 
 
 def _cmd_region(args) -> int:
@@ -144,6 +140,8 @@ def _cmd_simulate(args) -> int:
             "use --length-only")
     if args.trace and not full:
         raise ConfigError("--trace requires full tracking")
+    if args.cleanup_budget is not None and not full:
+        raise ConfigError("--cleanup-budget requires full tracking")
     pseed, dseed = experiments.trial_seeds(args.seed)
     pm = _placement_for(cfg, args.scheme, pseed)
     if args.export_placement:
@@ -161,8 +159,12 @@ def _cmd_simulate(args) -> int:
                 w.writerow(["slot", "subphase", "receivers", "action"])
                 w.writerows(trace)
     else:
-        res = run_delivery_lengths(cfg, pm, demand, seed=dseed,
-                                   start_phase=args.start_phase)
+        # a later start phase is the same delivery with the pools of fewer
+        # members emptied
+        needs = initial_needs(cfg, pm, demand)
+        needs[[bin(m).count("1") < args.start_phase
+               for m in range(len(needs))]] = 0
+        res = simulate_lengths(cfg.K, cfg.delta, needs, dseed)
     doc = res.to_json()
     doc["seed"] = args.seed
     doc["mode"] = "full" if full else "length"

@@ -56,8 +56,8 @@ from itertools import combinations
 import numpy as np
 
 from .gf256 import InconsistentSystemError, gf_dot, gf_fold, rref
-from .model import (SUPPORTED_FIELD_ORDERS, Demand, SystemConfig, mask_of,
-                    subsets_ascending, users_of)
+from .model import (SUPPORTED_FIELD_ORDERS, Demand, SystemConfig, demand_for,
+                    mask_of, subsets_ascending, users_of)
 from .placement import PlacementMap
 
 CLEANUP_BUDGET_PER_USER = 64
@@ -249,10 +249,8 @@ class _Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, start_phase: int = 1) -> None:
+    def run(self) -> None:
         for pool_mask in subsets_ascending(self.K):
-            if bin(pool_mask).count("1") < start_phase:
-                continue
             atoms = np.flatnonzero(self.seat[:self.next_atom] == pool_mask)
             if not atoms.size:
                 continue
@@ -714,30 +712,27 @@ def _components(deps: dict[int, set[int]]) -> list[list[int]]:
 
 
 def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = None,
-                 seed: int = 0, start_phase: int = 1, payload_len: int = 1,
+                 seed: int = 0, payload_len: int = 1,
                  cleanup_budget: int | None = None,
                  trace: list | None = None) -> SimResult:
-    """Execute phases start_phase..K for the given placement and demand.
+    """Execute phases 1..K for the given placement and demand.
 
     Returns slot counts per sub-phase, realized promotion counts and
     per-user byte-exact decoding results; a rank shortfall triggers
     feedback cleanup, and exhausting the cleanup budget raises
-    CleanupBudgetExceeded.
+    CleanupBudgetExceeded.  A demand that does not give each user a
+    distinct file in 1..N raises ConfigError.
     """
-    demand = demand or Demand.identity(cfg.K)
-    eng = _delivered(cfg, pm, demand, seed, start_phase, payload_len, trace)
+    eng = _delivered(cfg, pm, demand, seed, payload_len, trace)
     return _finish(eng, cleanup_budget)
 
 
-def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
-               start_phase: int = 1, payload_len: int = 1,
+def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None,
+               seed: int, payload_len: int = 1,
                trace: list | None = None) -> _Engine:
-    """The engine after seeding the pools and running phases
-    start_phase..K, before any decoding."""
-    if len(set(demand.assignment)) != cfg.K:
-        raise DeliveryError("demands must be distinct")
-    if not 1 <= start_phase <= cfg.K:
-        raise DeliveryError("start_phase out of range")
+    """The engine after seeding the pools and running phases 1..K, before
+    any decoding."""
+    demand = demand_for(cfg, demand)
     eng = _Engine(cfg.K, cfg.delta, seed, q=cfg.field_order,
                   payload_len=payload_len, trace=trace)
     off = np.concatenate([[0], np.cumsum(cfg.file_sizes)]).astype(np.int64)
@@ -749,21 +744,21 @@ def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand, seed: int,
         eng.must_decode[k0] = ids
         free = ids[(pmask[ids] >> k0 & 1) == 0]
         eng.seed_item(pmask[free] | 1 << k0, free, 1 << k0)
-    eng.run(start_phase=start_phase)
+    eng.run()
     return eng
 
 
 def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
-                    q: int = 256, payload_len: int = 1,
-                    cleanup_budget: int | None = None) -> SimResult:
+                    q: int = 256) -> SimResult:
     """Enter the multicast pipeline at the given phase: every subset of
     that size is seeded with fresh packets wanted by all its members, and
-    every user decodes.  It is the full-engine oracle of the length-only
-    path `fastsim.simulate_lengths(order_start_needs(...))` that
+    every user decodes.  The smaller pools hold nothing, so they send
+    nothing.  It is the full-engine oracle of the length-only path
+    `fastsim.simulate_lengths(order_start_needs(...))` that
     `experiments.order_capacity_trial` runs."""
     if not 1 <= order <= K:
         raise DeliveryError("order out of range")
-    eng = _Engine(K, delta, seed, q=q, payload_len=payload_len)
+    eng = _Engine(K, delta, seed, q=q)
     groups = [mask_of(g) for g in combinations(range(1, K + 1), order)]
     npackets = n_packets * len(groups)
     eng.set_packets(npackets, np.zeros(npackets, dtype=np.int64))
@@ -771,8 +766,8 @@ def run_order_start(K: int, delta, order: int, n_packets: int, seed: int = 0,
     eng.seed_item(seats, np.arange(npackets), seats)
     for k0 in range(K):
         eng.must_decode[k0] = np.flatnonzero(seats >> k0 & 1)
-    eng.run(start_phase=order)
-    return _finish(eng, cleanup_budget)
+    eng.run()
+    return _finish(eng, None)
 
 
 def _finish(eng: _Engine, cleanup_budget: int | None) -> SimResult:

@@ -15,7 +15,7 @@ from math import comb, isfinite, sqrt
 import numpy as np
 
 from . import analysis, fastsim
-from .model import ConfigError, SystemConfig
+from .model import SystemConfig
 from .placement import centralized_placement, decentralized_placement
 
 DEFAULT_TRIALS = 20
@@ -86,8 +86,7 @@ def order_capacity_trial(K: int, delta: float, order: int, n_packets: int,
     values = []
     for child in children:
         _, dseed = trial_seeds(child)
-        res = fastsim.simulate_lengths(K, (delta,) * K, needs, dseed,
-                                       start_phase=order)
+        res = fastsim.simulate_lengths(K, (delta,) * K, needs, dseed)
         values.append(total_symbols / res.slots_total)
     return _summary(values, seed)
 
@@ -152,7 +151,9 @@ def sweep(spec: SweepSpec) -> list[dict]:
                      "seed": spec.seed}
         try:
             cfg = _config_at(spec, value)
-        except ConfigError as exc:
+            if spec.scheme == "centralized":
+                centralized_placement(cfg)      # ValueError if it has none
+        except ValueError as exc:               # a ConfigError included
             row["error"] = str(exc)
             rows.append(row)
             continue

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .delivery import ChannelStream, DeliveryError, SimResult
-from .model import Demand, SystemConfig, subsets_ascending, users_of
+from .delivery import ChannelStream, SimResult
+from .model import (Demand, SystemConfig, demand_for, subsets_ascending,
+                    users_of)
 from .placement import PlacementMap
 
 _MIN_CHUNK, _CHUNK = 128, 8192
@@ -37,7 +38,7 @@ def initial_needs(cfg: SystemConfig, pm: PlacementMap,
                   demand: Demand | None = None) -> np.ndarray:
     """The initial needs table: packets of user k's file cached by
     exactly C are outstanding for k in pool C + {k}."""
-    demand = demand or Demand.identity(cfg.K)
+    demand = demand_for(cfg, demand)
     masks = np.arange(1 << cfg.K)
     needs = np.zeros((1 << cfg.K, cfg.K), dtype=np.int64)
     for k in range(1, cfg.K + 1):
@@ -56,12 +57,9 @@ def order_start_needs(K: int, order: int, n_packets: int) -> np.ndarray:
     return np.where(full, inpool * n_packets, 0)
 
 
-def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int,
-                     start_phase: int = 1) -> SimResult:
+def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int) -> SimResult:
     """Slot counts for the whole delivery given the initial needs table."""
     chan = ChannelStream(K, delta, seed)
-    if not 1 <= start_phase <= K:
-        raise DeliveryError("start_phase out of range")
     inpool = (np.arange(1 << K)[:, None] >> np.arange(K) & 1).astype(bool)
     # each pool's lowest per-slot progress probability (its worst member
     # and everyone outside all erase) bounds its length and sizes chunks
@@ -77,8 +75,6 @@ def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int,
     per_subphase: dict[tuple[int, ...], int] = {}
     total = 0
     for pool in subsets_ascending(K):
-        if bin(pool).count("1") < start_phase:
-            continue
         act = np.flatnonzero(pending[pool])
         if not act.size:
             continue
@@ -131,7 +127,7 @@ def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int,
 
 
 def run_delivery_lengths(cfg: SystemConfig, pm: PlacementMap,
-                         demand: Demand | None = None, seed: int = 0,
-                         start_phase: int = 1) -> SimResult:
+                         demand: Demand | None = None, seed: int = 0
+                         ) -> SimResult:
     return simulate_lengths(cfg.K, cfg.delta, initial_needs(cfg, pm, demand),
-                            seed, start_phase=start_phase)
+                            seed)

@@ -205,6 +205,15 @@ def validate_demand(cfg: SystemConfig, demand: Demand) -> None:
         raise ConfigError(f"invalid demand: {', '.join(v)}")
 
 
+def demand_for(cfg: SystemConfig, demand: Demand | None) -> Demand:
+    """The given demand, checked by `validate_demand`, or user k
+    requesting file k when none is given, which every config admits."""
+    if demand is None:
+        return Demand.identity(cfg.K)
+    validate_demand(cfg, demand)
+    return demand
+
+
 def config_from_dict(doc: dict) -> SystemConfig:
     """Build a SystemConfig from a parsed JSON document, which it checks.
 

@@ -274,6 +274,14 @@ def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
     ["simulate", "--scheme", "centralized"],      # b = M K / N = 2/3
     ["simulate", "--start-phase", "2", "--trace", "trace.csv",
      "--export-placement", "pm.json"],
+    # a cleanup budget means nothing without decoding, in every
+    # length-only mode: forced, above 12k packets, or past phase 1
+    ["simulate", "--length-only", "--cleanup-budget", "5",
+     "--export-placement", "pm.json"],
+    ["simulate", "--F", "10000", "--cleanup-budget", "5",
+     "--export-placement", "pm.json"],
+    ["simulate", "--start-phase", "2", "--cleanup-budget", "5",
+     "--export-placement", "pm.json"],
 ])
 def test_bad_inputs_are_exit_1(capsys, monkeypatch, tmp_path, two_user, argv):
     monkeypatch.chdir(tmp_path)
@@ -393,6 +401,20 @@ def test_sweep_json_output(capsys, tmp_path):
     assert [r["param"] for r in rows] == [0.0, 4.0]
     assert all(set(r) == set(SWEEP_COLUMNS) for r in rows)
     assert rows[1]["T_fb"] == 0.0 and rows[1]["T_sim_mean"] == 0.0
+
+
+def test_sweep_point_without_centralized_placement_fails_alone(capsys, sym3):
+    # b = M K / N = 1.5 at mem 1.5: that row reports it, the others run
+    code, out = run(capsys, ["sweep", "--config", sym3, "--F", "30",
+                             "--vary", "mem", "--grid", "0,1,1.5",
+                             "--scheme", "centralized", "--trials", "2",
+                             "--jobs", "1", "--output", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["param"] for r in rows] == [0.0, 1.0, 1.5]
+    assert all("error" not in r and r["T_sim_mean"] > 0 for r in rows[:2])
+    assert "not an integer" in rows[2]["error"]
+    assert "T_sim_mean" not in rows[2]
 
 
 def test_simulate_centralized_scheme(capsys, tmp_path):

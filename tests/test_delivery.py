@@ -2,6 +2,7 @@ import hashlib
 import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ebcache.experiments import trial_seeds
 from ebcache.gf256 import MUL, InconsistentSystemError, rref
 from ebcache.fastsim import (initial_needs, order_start_needs,
                              run_delivery_lengths, simulate_lengths)
-from ebcache.model import (MAX_K, Demand, SystemConfig, mask_of,
+from ebcache.model import (MAX_K, ConfigError, Demand, SystemConfig, mask_of,
                            subsets_ascending, users_of)
 from ebcache.placement import centralized_placement, decentralized_placement
 
@@ -190,13 +191,23 @@ def test_typical_runs_need_no_cleanup():
 def test_rejects_bad_inputs():
     cfg = cfg_of((0.3, 0.3), (0.5, 0.5), 30)
     pm = decentralized_placement(cfg, 0)
-    with pytest.raises(DeliveryError, match="distinct"):
+    with pytest.raises(ConfigError, match="non-distinct"):
         run_delivery(cfg, pm, demand=Demand((1, 1)), seed=0)
-    with pytest.raises(DeliveryError, match="start_phase"):
-        run_delivery(cfg, pm, seed=0, start_phase=5)
     # a config cannot hold q=16, so the raw-argument entry point checks it
     with pytest.raises(DeliveryError, match="field order"):
         run_order_start(2, (0.3, 0.3), 1, 30, q=16)
+
+
+def test_finish_refuses_bytes_that_differ_from_the_packet():
+    # the check behind every byte-exact decode: after delivery, change the
+    # value of a packet user 1 neither caches nor heard.  The user decodes
+    # what was sent, which no longer matches.
+    cfg = cfg_of((0.3,) * 3, (0.5,) * 3, 50)
+    eng = _delivered(cfg, decentralized_placement(cfg, 0), None, 1)
+    lacked = eng.must_decode[0][~eng._known(0)[eng.must_decode[0]]]
+    eng.vals[lacked[0]] ^= 1
+    with pytest.raises(DeliveryError, match="wrong bytes"):
+        delivery._finish(eng, None)
 
 
 def test_order_start_rejects_certain_erasure_up_front():
@@ -214,7 +225,7 @@ def test_both_simulators_reject_bad_delta_before_any_slot(engine, delta,
                                                           monkeypatch):
     # a config cannot hold such a delta, so the raw-argument entry points
     # check it themselves
-    def no_slot(self, start_phase=1):
+    def no_slot(self):
         raise AssertionError("a slot ran before delta was checked")
 
     monkeypatch.setattr(delivery._Engine, "run", no_slot)
@@ -223,21 +234,6 @@ def test_both_simulators_reject_bad_delta_before_any_slot(engine, delta,
             run_order_start(3, delta, 1, 5)
         else:
             simulate_lengths(3, delta, order_start_needs(3, 1, 5), seed=0)
-
-
-@pytest.mark.parametrize("start_phase", [0, 4])
-@pytest.mark.parametrize("engine", ["full", "length"])
-def test_both_simulators_reject_start_phase_outside_1_to_K(engine, start_phase,
-                                                          monkeypatch):
-    cfg = cfg_of((0.3,) * 3, (0.5,) * 3, 5)
-    pm = decentralized_placement(cfg, 0)
-    # a full-engine slot would stop the empty script, not raise DeliveryError
-    monkeypatch.setattr(delivery, "ChannelStream", ScriptedStream(()))
-    with pytest.raises(DeliveryError, match="start_phase"):
-        if engine == "full":
-            run_delivery(cfg, pm, seed=0, start_phase=start_phase)
-        else:
-            run_delivery_lengths(cfg, pm, seed=0, start_phase=start_phase)
 
 
 def test_seeded_outputs_are_pinned():
@@ -484,7 +480,7 @@ def test_order_start_full_engine_agrees_with_length_only_path():
     for s in range(8):
         res = run_order_start(K, delta, order, n, seed=s)
         assert res.decode_ok == [True] * K
-        fast = simulate_lengths(K, delta, needs, seed=s, start_phase=order)
+        fast = simulate_lengths(K, delta, needs, seed=s)
         assert res.slots_per_subphase == fast.slots_per_subphase
         assert res.realized_transfers == fast.realized_transfers
         assert res.slots_total - res.cleanup_slots == fast.slots_total
@@ -600,7 +596,15 @@ def test_initial_needs_count_every_uncached_demanded_packet(scheme):
     assert initial_needs(cfg, pm, demand).tolist() == want
 
 
-def replay_lengths(K, delta, needs, seed, start_phase):
+def emptied(needs, start):
+    """The needs table of a delivery entered at phase `start`: the pools
+    of fewer members hold nothing."""
+    needs = needs.copy()
+    needs[[bin(m).count("1") < start for m in range(len(needs))]] = 0
+    return needs
+
+
+def replay_lengths(K, delta, needs, seed):
     """The fast simulator's schedule written out slot by slot: one channel
     state a slot, as the stream defines it (`random(K) < 1 - delta` from
     the second child of SeedSequence(seed)), each member counted one at a
@@ -614,7 +618,7 @@ def replay_lengths(K, delta, needs, seed, start_phase):
                        key=lambda m: (bin(m).count("1"), users(m))):
         members = [k for k in range(K) if pool >> k & 1]
         left = {k: pending[pool][k] for k in members}
-        if len(members) < start_phase or not any(left.values()):
+        if not any(left.values()):
             continue
         length = 0
         while any(left.values()):
@@ -651,8 +655,9 @@ def test_simulate_lengths_matches_a_slot_by_slot_replay(K, seed, data):
         # K <= 3 reaches sizes that take more than one chunk
         n = data.draw(st.integers(0, 6000 if K <= 3 else 300))
         needs = order_start_needs(K, data.draw(st.integers(1, K)), n)
-    res = simulate_lengths(K, delta, needs, seed, start_phase=start)
-    total, per_subphase, transfers = replay_lengths(K, delta, needs, seed, start)
+    needs = emptied(needs, start)
+    res = simulate_lengths(K, delta, needs, seed)
+    total, per_subphase, transfers = replay_lengths(K, delta, needs, seed)
     assert res.slots_total == total
     assert list(res.slots_per_subphase.items()) == list(per_subphase.items())
     assert res.realized_transfers == transfers
@@ -673,10 +678,21 @@ def test_both_simulators_agree_slot_for_slot_on_one_seed(K, q, seed, data):
     cfg = SystemConfig(K=K, N=N, delta=tuple(delta), mem=tuple(mem),
                        file_sizes=tuple(sizes), field_order=q)
     pm = decentralized_placement(cfg, seed)
-    # the engine before decoding: a start past phase 1 leaves packets that
-    # nobody sends, so only the main phase is comparable
-    eng = _delivered(cfg, pm, demand, seed, start_phase=start)
-    res = run_delivery_lengths(cfg, pm, demand, seed=seed, start_phase=start)
+    # a later start is an emptied needs table for the length-only engine
+    # and, for the full engine, its atoms unseated from the pools of fewer
+    # members before it runs; decoding is not compared, since the packets
+    # of those pools are never sent
+    run = delivery._Engine.run
+
+    def run_from_start(eng):
+        seat = eng.seat[:eng.next_atom]
+        seat[[bin(m).count("1") < start for m in seat.tolist()]] = 0
+        run(eng)
+
+    with mock.patch.object(delivery._Engine, "run", run_from_start):
+        eng = _delivered(cfg, pm, demand, seed)
+    res = simulate_lengths(K, cfg.delta,
+                           emptied(initial_needs(cfg, pm, demand), start), seed)
     assert list(res.slots_per_subphase.items()) == list(
         eng.slots_per_subphase.items())
     assert res.realized_transfers == eng.transfers
@@ -687,16 +703,14 @@ def test_fastsim_chunk_bounds_change_no_result(monkeypatch):
     # chunks only set the speed: bounds of 1..16 slots give the same
     # outputs as 128..8192 (`_SLOTS` is derived from `_CHUNK`)
     K, delta = 3, (0.3, 0.5, 0.7)
-    cases = [(initial_needs(cfg, decentralized_placement(cfg, 4)), 1)
+    cases = [initial_needs(cfg, decentralized_placement(cfg, 4))
              for cfg in [cfg_of(delta, (0.4, 0.5, 0.6), 3000)]]
-    cases += [(order_start_needs(K, 2, 500), 2)]
-    want = [simulate_lengths(K, delta, needs, seed=6, start_phase=start)
-            for needs, start in cases]
+    cases += [order_start_needs(K, 2, 500)]
+    want = [simulate_lengths(K, delta, needs, seed=6) for needs in cases]
     monkeypatch.setattr(fastsim, "_MIN_CHUNK", 1)
     monkeypatch.setattr(fastsim, "_CHUNK", 16)
     monkeypatch.setattr(fastsim, "_SLOTS", np.arange(16)[:, None])
-    got = [simulate_lengths(K, delta, needs, seed=6, start_phase=start)
-           for needs, start in cases]
+    got = [simulate_lengths(K, delta, needs, seed=6) for needs in cases]
     assert got == want
 
 
@@ -756,10 +770,19 @@ def global_solve(eng, k):
 def test_block_decoder_matches_one_global_elimination(K, F, q, L, seed, data):
     delta = data.draw(st.lists(st.floats(0.0, 0.7), min_size=K, max_size=K))
     p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
-    start = data.draw(st.integers(1, 2))
     cfg = cfg_of(delta, p, F, q=q)
     pm = decentralized_placement(cfg, seed)
-    eng = _delivered(cfg, pm, Demand.identity(K), seed + 1, start, L)
+    eng = _delivered(cfg, pm, Demand.identity(K), seed + 1, L)
+    # rank-deficient systems: erase a drawn fifth of each user's receptions
+    # of combinations formed in pools it belongs to.  Its packet receptions
+    # and overheard combinations stay, since the decoder's system assumes
+    # the user holds those atoms.
+    rng = np.random.default_rng(seed)
+    n = eng.next_atom
+    for k0 in range(K):
+        own = np.nonzero(eng.heard[:n] & eng.src[:n] & 1 << k0)[0]
+        own = own[own >= eng.npackets]
+        eng.heard[own[rng.random(len(own)) < 0.2]] ^= 1 << k0
     for k in range(1, K + 1):
         want = global_solve(eng, k)
         solved, unresolved, _ = eng.decode_user(k)

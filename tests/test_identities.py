@@ -192,3 +192,18 @@ def test_no_cache_weights_equal_feedback_capacity_coefficients():
         J = users_of(Jm)
         want = 1.0 / (1.0 - np.prod([d[j - 1] for j in J]))
         assert region_weight(cfg, J) == pytest.approx(want, rel=1e-12)
+
+
+def test_identity_suite_draws_one_sided_fair_instances_up_to_K(monkeypatch):
+    # worst-user ordering, dominance and plan against closed form run on
+    # every size up to K, the largest included
+    drawn = []
+    draw = analysis.random_one_sided_fair
+
+    def recording(kk, rng):
+        drawn.append(kk)
+        return draw(kk, rng)
+
+    monkeypatch.setattr(analysis, "random_one_sided_fair", recording)
+    assert analysis.identity_suite(K=6, samples=30, seed=0).ok()
+    assert set(drawn) == {2, 3, 4, 5, 6}

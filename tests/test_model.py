@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebcache import analysis
+from ebcache.delivery import run_delivery
+from ebcache.fastsim import run_delivery_lengths
 from ebcache.model import (MAX_FILE_PACKETS, MAX_K, ConfigError, Demand,
                            RateVector, SystemConfig, config_from_dict,
                            is_one_sided_fair, load_config, mask_of,
                            subsets_ascending, users_of, validate_demand)
+from ebcache.placement import decentralized_placement
 
 
 def cfg_of(delta, p, N=None, sizes=None):
@@ -60,6 +64,27 @@ def test_demand_validation():
     validate_demand(cfg, Demand.identity(2))
     with pytest.raises(ConfigError, match="non-distinct"):
         validate_demand(cfg, Demand((1, 1)))
+
+
+@pytest.mark.parametrize("demand, name", [
+    ((0, 1), r"demand\[1\]"),           # file 0 would read the last file
+    ((1, 4), r"demand\[2\]"),           # file N + 1
+    ((1, 1), "non-distinct"),
+    ((1, 2, 3), "demand"),              # one file per user
+], ids=["file-0", "file-N+1", "repeated", "wrong-length"])
+@pytest.mark.parametrize("entry", ["run_delivery", "run_delivery_lengths",
+                                   "phase_plan", "ttot_closed_form"])
+def test_every_entry_point_checks_a_given_demand(entry, demand, name):
+    cfg = cfg_of((.3, .3), (.5, .5), N=3, sizes=(20, 20, 20))
+    pm = decentralized_placement(cfg, 0)
+    run = {"run_delivery": lambda d: run_delivery(cfg, pm, d, seed=0),
+           "run_delivery_lengths": lambda d: run_delivery_lengths(
+               cfg, pm, d, seed=0),
+           "phase_plan": lambda d: analysis.phase_plan(cfg, d),
+           "ttot_closed_form": lambda d: analysis.ttot_closed_form(cfg, d)}
+    with pytest.raises(ConfigError, match=name):
+        run[entry](Demand(demand))
+    run[entry](Demand((3, 1)))
 
 
 def test_config_json_round_trip(tmp_path):
