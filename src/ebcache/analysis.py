@@ -240,7 +240,7 @@ def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
 
     # need0[k0][c]: packets user k0 lacks that exactly the users in c cache
     if placement is not None:
-        demand = demand or Demand.identity(K)
+        demand = demand_for(cfg, demand)
         need0 = [placement.subset_counts(demand.file_of(k)).astype(float)
                  .tolist() for k in range(1, K + 1)]
     else:

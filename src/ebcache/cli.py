@@ -142,11 +142,11 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--trace requires full tracking")
     if args.cleanup_budget is not None and not full:
         raise ConfigError("--cleanup-budget requires full tracking")
+    if args.export_placement and npackets > PLACEMENT_EXPORT_LIMIT:
+        raise ConfigError("placement export refused: instance too large")
     pseed, dseed = experiments.trial_seeds(args.seed)
     pm = _placement_for(cfg, args.scheme, pseed)
     if args.export_placement:
-        if npackets > PLACEMENT_EXPORT_LIMIT:
-            raise ConfigError("placement export refused: instance too large")
         with open(args.export_placement, "w") as fh:
             json.dump(pm.to_json(), fh)
     if full:

@@ -26,11 +26,12 @@ bookkeeping:
 Every atom (a packet or a combination) is carried by at most one slot,
 so one atom table, grown with the atom values, holds what the feedback
 told: the receiver set of the slot that carried each atom (`heard`), the
-pool a combination was formed in (`src`), and the last pool the atom was
-seeded into with the users that need it there (`seat`, `want`).  A pool's
-members are the atoms seated in it, in ascending atom id.  What a user
-heard, the rows it banked in its own pools and the pool where it needs
-each atom are all read from the table.
+pool the atom left (`src`, as a combination sent or a packet promoted),
+and the last pool it was seeded into with the users that need it there
+(`seat`, `want`).  A pool's members are the atoms seated in it, in
+ascending atom id.  What a user heard, the rows it banked in its own
+pools, the pool where it needs each atom and every promotion are all
+read from the table.
 
 Decoding eliminates each user's banked equations pool by pool.  A pool
 only ever combines atoms (packets and promoted combinations) seeded into
@@ -50,14 +51,14 @@ reduces again.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .gf256 import InconsistentSystemError, gf_dot, gf_fold, rref
-from .model import (SUPPORTED_FIELD_ORDERS, Demand, SystemConfig, demand_for,
-                    mask_of, subsets_ascending, users_of)
+from .model import (MAX_K, SUPPORTED_FIELD_ORDERS, Demand, SystemConfig,
+                    demand_for, mask_of, subsets_ascending, users_of)
 from .placement import PlacementMap
 
 CLEANUP_BUDGET_PER_USER = 64
@@ -113,14 +114,43 @@ class ChannelStream:
         return int(s)
 
 
-@dataclass
+def promotion_keys(src, dst, k0):
+    """One int64 key per promotion of an equation for user k0 + 1 from
+    pool `src` to pool `dst`, as `SimResult.realized_transfers` reads it."""
+    return (src << MAX_K | dst) << MAX_K | k0
+
+
+def _same(a, b) -> bool:
+    """Equality with arrays, also inside a dict, compared by value."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@dataclass(eq=False)
 class SimResult:
     slots_total: int
     slots_per_subphase: dict[tuple[int, ...], int]
     decode_ok: list[bool] | None
     cleanup_slots: int
-    realized_transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], int]
+    transfer_keys: np.ndarray       # distinct `promotion_keys`, ascending
+    transfer_counts: np.ndarray     # the promotions with each key
     recovered: dict[int, np.ndarray] | None = None
+
+    @property
+    def realized_transfers(self) -> dict[tuple, int]:
+        """Promotions by (source pool, target pool, user)."""
+        pools, k0 = np.divmod(self.transfer_keys, 1 << MAX_K)
+        cols = (*np.divmod(pools, 1 << MAX_K), k0, self.transfer_counts)
+        return {(users_of(s), users_of(t), k + 1): n
+                for s, t, k, n in zip(*(c.tolist() for c in cols))}
+
+    def __eq__(self, other):
+        if type(other) is not SimResult:
+            return NotImplemented
+        return all(map(_same, vars(self).values(), vars(other).values()))
 
     def to_json(self) -> dict:
         key = lambda J: "[" + ",".join(str(u) for u in J) + "]"
@@ -179,8 +209,8 @@ class _Engine:
         self.full = (1 << K) - 1
         self.npackets = 0
         # the atom table, packets first, then combinations as sent: value,
-        # receiver set of the carrying slot (0 if none), pool of origin
-        # (0 for packets), last pool seeded into and who needs it there.
+        # receiver set of the carrying slot (0 if none), the pool it left
+        # (0 if none), last pool seeded into and who needs it there.
         # A pool's members are the atoms seated in it.
         self.vals = np.empty((0, payload_len), dtype=np.uint8)
         self.heard = self.src = self.seat = self.want = _NO_I64
@@ -191,7 +221,6 @@ class _Engine:
         self.next_atom = 0
         self.slot = 0
         self.slots_per_subphase: dict[tuple[int, ...], int] = {}
-        self.transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
 
     # -- setup -------------------------------------------------------------
 
@@ -261,12 +290,16 @@ class _Engine:
                 self._run_multicast(pool_mask, atoms)
             self.slots_per_subphase[users_of(pool_mask)] = self.slot - before
 
-    def _record_transfer(self, src: int, dst: int, needed_mask: int) -> None:
-        key_src, key_dst = users_of(src), users_of(dst)
-        for k0 in range(self.K):
-            if needed_mask >> k0 & 1:
-                key = (key_src, key_dst, k0 + 1)
-                self.transfers[key] = self.transfers.get(key, 0) + 1
+    def result(self) -> SimResult:
+        """The slots so far and every promotion: an atom seated in a pool
+        past the one it left, once for each user that needs it there."""
+        n = self.next_atom
+        moved = np.flatnonzero(self.src[:n] & self.seat[:n])
+        i, k0 = np.nonzero(self.want[moved, None] >> np.arange(self.K) & 1)
+        keys, counts = np.unique(promotion_keys(
+            self.src[moved[i]], self.seat[moved[i]], k0), return_counts=True)
+        return SimResult(self.slot, self.slots_per_subphase, None, 0, keys,
+                         counts)
 
     def _run_raw(self, pool_mask: int, atoms: np.ndarray) -> None:
         """Broadcast each raw packet until at least one user receives it."""
@@ -282,9 +315,8 @@ class _Engine:
                 if S >> k0 & 1:
                     self._trace(pool_mask, S, "deliver")
                 else:
-                    target = pool_mask | S
-                    self.seed_item(target, atom, 1 << k0)
-                    self._record_transfer(pool_mask, target, 1 << k0)
+                    self.src[atom] = pool_mask
+                    self.seed_item(pool_mask | S, atom, 1 << k0)
                     self._trace(pool_mask, S, "promote")
                 break
 
@@ -321,9 +353,7 @@ class _Engine:
                 atom = self._new_combo(pool_mask, S, support, coefs,
                                        gf_dot(coefs, vals))
                 if moved:
-                    target = pool_mask | S
-                    self.seed_item(target, atom, moved)
-                    self._record_transfer(pool_mask, target, moved)
+                    self.seed_item(pool_mask | S, atom, moved)
             if got:
                 self._trace(pool_mask, S, "deliver")
             elif moved:
@@ -795,11 +825,5 @@ def _finish(eng: _Engine, cleanup_budget: int | None) -> SimResult:
             raise DeliveryError(f"user {k} produced wrong bytes (engine bug)")
         decode_ok.append(True)
         recovered[k] = got
-    return SimResult(
-        slots_total=eng.slot,
-        slots_per_subphase=eng.slots_per_subphase,
-        decode_ok=decode_ok,
-        cleanup_slots=cleanup_slots,
-        realized_transfers=eng.transfers,
-        recovered=recovered,
-    )
+    return replace(eng.result(), decode_ok=decode_ok,
+                   cleanup_slots=cleanup_slots, recovered=recovered)

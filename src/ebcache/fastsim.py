@@ -16,7 +16,8 @@ channel states, every member of the pool served by the same chunk: one
 cumulative sum over the (slot, member) progress matrix gives each
 member's finishing slot, and one `nonzero` over the overheard-outside
 matrix, cut at those slots, gives every promotion, scattered into a
-single (2^K, K) table of pending counts.  The sub-phase consumes the
+single (2^K, K) table of pending counts and kept by its key for
+`SimResult.realized_transfers`.  The sub-phase consumes the
 chunk up to the last finishing slot and leaves the rest in the stream,
 or consumes it all and looks at another; chunk sizes set only speed.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .delivery import ChannelStream, SimResult
+from .delivery import ChannelStream, SimResult, promotion_keys
 from .model import (Demand, SystemConfig, demand_for, subsets_ascending,
                     users_of)
 from .placement import PlacementMap
@@ -70,8 +71,7 @@ def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int) -> SimResult:
     # pending[t, k0]: equations member k0 of pool t still needs from it
     pending = np.where(inpool, needs, 0)
     flat = pending.reshape(-1)
-    cells = flat.size
-    moved, weights = [], []         # promotions as pool * cells + t * K + k0
+    moved = [np.empty(0, dtype=np.int64)]   # promotion keys
     per_subphase: dict[tuple[int, ...], int] = {}
     total = 0
     for pool in subsets_ascending(K):
@@ -94,36 +94,16 @@ def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int) -> SimResult:
             # each member's finishing slot
             rows, cols = np.nonzero(prog & ~heard & (_SLOTS[:chunk] <= fin))
             if rows.size:
-                keys = (states[rows] | pool) * K + act[cols]
-                if keys.size > cells:
-                    cnt = np.bincount(keys, minlength=cells)
-                    flat += cnt
-                    keys = np.flatnonzero(cnt)
-                    weights.append(cnt[keys])
-                else:
-                    np.add.at(flat, keys, 1)
-                    weights.append(np.ones(keys.size, dtype=np.int64))
-                moved.append(pool * cells + keys)
+                target, k0 = states[rows] | pool, act[cols]
+                np.add.at(flat, target * K + k0, 1)
+                moved.append(promotion_keys(pool, target, k0))
             left = fin == chunk
             act, need = act[left], need[left] - cum[-1, left]
             length += used
         per_subphase[users_of(pool)] = length
         total += length
-    transfers: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
-    if moved:
-        keys, inv = np.unique(np.concatenate(moved), return_inverse=True)
-        counts = np.bincount(inv, weights=np.concatenate(weights))
-        for key, n in zip(keys.tolist(), counts.tolist()):
-            pool, cell = divmod(key, cells)
-            t, k0 = divmod(cell, K)
-            transfers[(users_of(pool), users_of(t), k0 + 1)] = int(n)
-    return SimResult(
-        slots_total=total,
-        slots_per_subphase=per_subphase,
-        decode_ok=None,
-        cleanup_slots=0,
-        realized_transfers=transfers,
-    )
+    keys, counts = np.unique(np.concatenate(moved), return_counts=True)
+    return SimResult(total, per_subphase, None, 0, keys, counts)
 
 
 def run_delivery_lengths(cfg: SystemConfig, pm: PlacementMap,

@@ -21,9 +21,9 @@ SUPPORTED_FIELD_ORDERS = (2, 256)
 # time and memory.  `ebcache plan` (2-vCPU x86-64 host, Python 3.11,
 # numpy 2.4) took 8.3, 23 and 70 s at K = 14, 15 and 16, with peak RSS
 # 116, 211 and 409 MB: about 3x per user, so K = 17 would take minutes.
-# `simulate --length-only` at K = N = 16 peaked at 433, 717 and 1169 MB
-# RSS for files of 250k, 500k and 1M packets (15 s at 500k).  The
-# largest size in use elsewhere is 100k packets.
+# `simulate --length-only` at K = N = 16 (delta 0.5, mem 8) peaked at
+# 174, 255 and 413 MB RSS for files of 250k, 500k and 1M packets (4-6 s
+# at 500k).  The largest size in use elsewhere is 100k packets.
 MAX_K = 16
 MAX_FILE_PACKETS = 500_000
 
@@ -97,7 +97,7 @@ def _reals(xs, name: str, bad: list[str], length: int | None
     if length is None:
         return None
     if len(items) != length:
-        bad.append(name)
+        bad.append(f"{name} must have {length} entries, got {len(items)}")
         return None
     return items
 
@@ -166,12 +166,18 @@ class SystemConfig:
 @dataclass(frozen=True)
 class Demand:
     """Distinct file request per user: assignment[k-1] = demanded file
-    (1-based) of user k."""
+    (1-based) of user k.  An entry must be a whole number; a fraction is
+    refused, not truncated."""
 
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(int(d) for d in self.assignment))
+        bad: list[str] = []
+        files = tuple(_count(d, f"demand[{i}]", bad, -inf, inf)
+                      for i, d in enumerate(self.assignment, 1))
+        if bad:
+            raise ConfigError(f"invalid demand: {', '.join(bad)}")
+        object.__setattr__(self, "assignment", files)
 
     @classmethod
     def identity(cls, K: int) -> "Demand":

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
-from ebcache import analysis
+import ebcache
+from ebcache import analysis, cli
 from ebcache.cli import main
 from ebcache.delivery import run_delivery
 from ebcache.experiments import SWEEP_COLUMNS, trial_seeds
@@ -198,6 +202,20 @@ def test_verify_verb_passes(capsys):
     assert doc["max_residual"] < 1e-9
 
 
+def test_module_runs_as_a_program_with_its_exit_codes():
+    src = os.path.dirname(os.path.dirname(ebcache.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    prog = [sys.executable, "-m", "ebcache.cli", "verify"]
+    ok = subprocess.run(prog + ["--K", "2", "--samples", "1"], env=env,
+                        capture_output=True, text=True)
+    assert ok.returncode == 0 and json.loads(ok.stdout)["ok"] is True
+    usage = subprocess.run(prog + ["--K", "two"], env=env,
+                           capture_output=True, text=True)
+    assert usage.returncode == 1 and "error: " in usage.stderr
+    assert not usage.stdout
+
+
 def test_missing_config_file_is_exit_1(capsys):
     assert main(["region", "--config", "/nonexistent.json"]) == 1
 
@@ -282,6 +300,8 @@ def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
      "--export-placement", "pm.json"],
     ["simulate", "--start-phase", "2", "--cleanup-budget", "5",
      "--export-placement", "pm.json"],
+    # full tracking above 300k packets
+    ["simulate", "--F", "150001", "--full"],
 ])
 def test_bad_inputs_are_exit_1(capsys, monkeypatch, tmp_path, two_user, argv):
     monkeypatch.chdir(tmp_path)
@@ -291,6 +311,17 @@ def test_bad_inputs_are_exit_1(capsys, monkeypatch, tmp_path, two_user, argv):
     assert captured.err.startswith("error: ") and not captured.out
     assert not (tmp_path / "trace.csv").exists()
     assert not (tmp_path / "pm.json").exists()
+
+
+def test_oversized_placement_export_is_refused_before_drawing_it(
+        capsys, monkeypatch, tmp_path, sym3):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_placement_for",
+                        lambda *a: pytest.fail("placement drawn"))
+    assert main(["simulate", "--config", sym3, "--F", "40000",
+                 "--export-placement", "x"]) == 1
+    assert "placement export refused" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_count_that_is_not_whole_is_exit_1(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """Fuzzed command line: small valid configs, most with one field or entry
-replaced by a wild value, run through `cli.main` in process with
-generated flags.
+replaced by a wild value or one list cut or grown to a wrong length, run
+through `cli.main` in process with generated flags.
 Every run must end with exit 0, 1 or 2, raise nothing past `main`, and
 print an `error:` line when it exits 1.  `verify` takes no config and is
 fuzzed on its own bounds."""
@@ -34,8 +34,13 @@ def configs(draw):
         return doc
     field = draw(st.sampled_from(FIELDS))
     wild = draw(st.sampled_from(WILD))
-    if field in ("delta", "mem", "file_sizes") and draw(st.booleans()):
+    how = draw(st.sampled_from(["entry", "length", "field"]))
+    if field in ("delta", "mem", "file_sizes") and how == "entry":
         doc[field][draw(st.integers(0, len(doc[field]) - 1))] = wild
+    elif field in ("delta", "mem", "file_sizes") and how == "length":
+        n = len(doc[field])
+        doc[field] = (doc[field] * 2)[:draw(st.sampled_from([0, n - 1,
+                                                             n + 1]))]
     else:
         doc[field] = wild
     return doc

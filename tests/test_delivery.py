@@ -236,6 +236,17 @@ def test_both_simulators_reject_bad_delta_before_any_slot(engine, delta,
             simulate_lengths(3, delta, order_start_needs(3, 1, 5), seed=0)
 
 
+def test_results_compare_by_value():
+    cfg = cfg_of((0.3, 0.5), (0.4, 0.4), 20)
+    pm = decentralized_placement(cfg, 0)
+    res = run_delivery(cfg, pm, seed=2)
+    assert res == run_delivery(cfg, pm, seed=2)
+    other = {**res.recovered, 1: res.recovered[1] ^ 1}
+    assert res != replace(res, recovered=other)
+    assert res != replace(res, transfer_counts=res.transfer_counts + 1)
+    assert res != "result"
+
+
 def test_seeded_outputs_are_pinned():
     # Recorded before the engine's atom table replaced its per-user lists.
     # A change that moves these on purpose (a new draw order, say)
@@ -292,7 +303,9 @@ def test_seeded_outputs_are_pinned():
 def test_promotions_only_enlarge_the_target_set():
     cfg = cfg_of((0.4,) * 3, (0.4,) * 3, 200)
     pm = decentralized_placement(cfg, 3)
-    transfers = _delivered(cfg, pm, Demand.identity(3), seed=4).transfers
+    eng = _delivered(cfg, pm, Demand.identity(3), seed=4)
+    transfers = eng.result().realized_transfers
+    assert transfers
     for (src, dst, _k), n in transfers.items():
         assert set(src) < set(dst) and n > 0
 
@@ -695,8 +708,29 @@ def test_both_simulators_agree_slot_for_slot_on_one_seed(K, q, seed, data):
                            emptied(initial_needs(cfg, pm, demand), start), seed)
     assert list(res.slots_per_subphase.items()) == list(
         eng.slots_per_subphase.items())
-    assert res.realized_transfers == eng.transfers
+    assert res.realized_transfers == eng.result().realized_transfers
     assert res.slots_total == eng.slot
+
+
+@pytest.mark.parametrize("K, seed", [(12, 0), (12, 1), (14, 2), (16, 3),
+                                     (16, 4)])
+def test_both_simulators_agree_slot_for_slot_at_large_K(K, seed):
+    # the property above stops at K = 6; files of 1-2 packets reach the
+    # pools of up to 16 members at a bounded cost
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(K=K, N=K, delta=tuple(rng.choice([0.0, 0.3, 0.6, 0.9],
+                                                        K)),
+                       mem=tuple(rng.uniform(0, K / 2, K)),
+                       file_sizes=tuple(rng.integers(1, 3, K).tolist()))
+    demand = Demand(tuple(rng.permutation(K) + 1))
+    pm = decentralized_placement(cfg, seed)
+    full = _delivered(cfg, pm, demand, seed).result()
+    res = run_delivery_lengths(cfg, pm, demand, seed)
+    assert list(res.slots_per_subphase.items()) == list(
+        full.slots_per_subphase.items())
+    assert res.realized_transfers == full.realized_transfers
+    assert res.slots_total == full.slots_total
+    assert res.realized_transfers
 
 
 def test_fastsim_chunk_bounds_change_no_result(monkeypatch):

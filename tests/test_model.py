@@ -71,9 +71,11 @@ def test_demand_validation():
     ((1, 4), r"demand\[2\]"),           # file N + 1
     ((1, 1), "non-distinct"),
     ((1, 2, 3), "demand"),              # one file per user
-], ids=["file-0", "file-N+1", "repeated", "wrong-length"])
+    ((1.9, 2), r"demand\[1\] must be a whole number, got 1\.9"),
+], ids=["file-0", "file-N+1", "repeated", "wrong-length", "fractional"])
 @pytest.mark.parametrize("entry", ["run_delivery", "run_delivery_lengths",
-                                   "phase_plan", "ttot_closed_form"])
+                                   "phase_plan", "phase_plan_placement",
+                                   "ttot_closed_form"])
 def test_every_entry_point_checks_a_given_demand(entry, demand, name):
     cfg = cfg_of((.3, .3), (.5, .5), N=3, sizes=(20, 20, 20))
     pm = decentralized_placement(cfg, 0)
@@ -81,6 +83,10 @@ def test_every_entry_point_checks_a_given_demand(entry, demand, name):
            "run_delivery_lengths": lambda d: run_delivery_lengths(
                cfg, pm, d, seed=0),
            "phase_plan": lambda d: analysis.phase_plan(cfg, d),
+           # given sizes, the plan reads the demand only through the
+           # placement
+           "phase_plan_placement": lambda d: analysis.phase_plan(
+               cfg, d, sizes=(20, 20), placement=pm),
            "ttot_closed_form": lambda d: analysis.ttot_closed_form(cfg, d)}
     with pytest.raises(ConfigError, match=name):
         run[entry](Demand(demand))
@@ -153,6 +159,8 @@ def _sys_cfg(**kw):
     ({"file_sizes": (10, MAX_FILE_PACKETS + 1)}, "file_sizes[2]"),
     ({"file_sizes": (10, 1e30)}, "file_sizes[2]"),
     ({"delta": (float("nan"), 0.2)}, "delta[1]"),
+    ({"delta": (0.1,)}, "delta must have 2 entries, got 1"),
+    ({"file_sizes": (10, 20, 30)}, "file_sizes must have 2 entries, got 3"),
 ])
 def test_construction_rejects_each_bad_field(kw, match):
     with pytest.raises(ConfigError, match=re.escape(match)):
