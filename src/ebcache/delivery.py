@@ -2,19 +2,19 @@
 
 Phases run in ascending target-set cardinality, sub-phases in
 lexicographic order.  Sub-phase {k} broadcasts the raw uncached packets of
-user k's file until somebody hears each one; larger sub-phases send fresh
-random GF(2^8) combinations.  Each symbol of a pool keeps its remaining
-want, the members that still have to pin it; every other member holds
-it or pinned it there.  When the remaining wants of some symbols, cut to
-the active members, split them exactly, a combination takes the lowest
-such symbol of each part, with nonzero coefficients, and leaves each
-receiver one unknown (the XOR scheme of Georgiadis & Tassiulas,
-generalised by Wang and by Gatzianas et al.); a member that receives it
-or moves up with it has pinned its symbol.  When no exact split exists,
-it combines every symbol an active member wants.  Either way each member
-progresses on the same events, so the slots do not depend on the
-choice.  After each slot the realized receiver set drives the
-bookkeeping:
+user k's file until somebody hears each one; larger sub-phases send
+combinations of the pool's symbols.  Each symbol of a pool keeps its
+remaining want, the members that still have to pin it; every other member
+holds it or pinned it there.  When the remaining wants of some symbols,
+cut to the active members, split them exactly, a combination is the XOR
+of the lowest such symbol of each part and leaves each receiver one
+unknown (the XOR scheme of Georgiadis & Tassiulas, generalised by Wang
+and by Gatzianas et al.); a member that receives it or moves up with it
+has pinned its symbol.  When no exact split exists, it combines every
+symbol an active member wants with fresh random GF(2^8) coefficients.
+Either way each member progresses on the same events, so the slots do
+not depend on the choice.  After each slot the realized receiver set
+drives the bookkeeping:
 
   * a needing receiver banks the equation and its counter drops;
   * if an outsider overheard while some needing user missed the slot, the
@@ -29,9 +29,16 @@ told: the receiver set of the slot that carried each atom (`heard`), the
 pool the atom left (`src`, as a combination sent or a packet promoted),
 and the last pool it was seeded into with the users that need it there
 (`seat`, `want`).  A pool's members are the atoms seated in it, in
-ascending atom id.  What a user heard, the rows it banked in its own
-pools, the pool where it needs each atom and every promotion are all
-read from the table.
+ascending atom id; seating an atom also queues it for its pool, and a
+promotion always seats in a larger pool, which runs later, so a pool
+reads its members from its queue and empty pools cost nothing.  What a
+user heard, the rows it banked in its own pools, the pool where it needs
+each atom and every promotion are all read from the table.
+
+The slot loop looks at the channel states in chunks and consumes only
+the slots it used.  A pool combines only atoms seated before it started,
+so its combinations enter the table when it ends, in one pass, every
+payload from one fold.
 
 Decoding eliminates each user's banked equations pool by pool.  A pool
 only ever combines atoms (packets and promoted combinations) seeded into
@@ -42,10 +49,10 @@ built in one CSR layout (row node, columns, coefficients, right-hand
 side) by a few vectorized passes, and each block is filled with one
 scatter.  `gf256.rref`, the only elimination routine, brings every
 block to reduced row echelon form.  Rank-deficient blocks and everything
-downstream of them form one residual system, reduced the same way, and
-its rare shortfalls from unlucky coefficients are repaired by a feedback
-cleanup round, which stacks each row it hears under the residual and
-reduces again.
+downstream of them form one residual system, reduced the same way.
+Only dense combinations draw coefficients, so only they can fall short
+of rank; those rare shortfalls are repaired by a feedback cleanup round,
+which stacks each row it hears under the residual and reduces again.
 """
 
 from __future__ import annotations
@@ -58,15 +65,18 @@ import numpy as np
 
 from .gf256 import InconsistentSystemError, gf_dot, gf_fold, rref
 from .model import (MAX_K, SUPPORTED_FIELD_ORDERS, Demand, SystemConfig,
-                    demand_for, mask_of, subsets_ascending, users_of)
+                    demand_for, mask_of, users_of)
 from .placement import PlacementMap
 
 CLEANUP_BUDGET_PER_USER = 64
 ROW_CHUNK = 32          # rows per pass when a user's rows are built
+SLOT_CHUNK = 256        # channel states per look of the slot loop
 _NO_I64 = np.empty(0, dtype=np.int64)
 _NO_I32 = np.empty(0, dtype=np.int32)
 _NO_U8 = np.empty(0, dtype=np.uint8)
 _ONE = np.ones(1, dtype=np.uint8)
+_ONES = np.ones(MAX_K, dtype=np.uint8)  # an XOR's coefficients
+_ONES.flags.writeable = False
 
 
 class DeliveryError(Exception):
@@ -218,6 +228,10 @@ class _Engine:
         self.must_decode: list[np.ndarray] = [np.empty(0, np.int64)] * K
         # combination atom -> (constituent atoms, coefs)
         self.combos: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # pool -> the atoms seated there, as appended; the pools that have
+        # any, in `subsets_ascending` order
+        self.queue: dict[int, list[np.ndarray]] = {}
+        self.pools: list[tuple] = []
         self.next_atom = 0
         self.slot = 0
         self.slots_per_subphase: dict[tuple[int, ...], int] = {}
@@ -232,6 +246,14 @@ class _Engine:
         self.vals[:npackets] = self.rng.integers(0, 256, (npackets, self.L),
                                                  dtype=np.uint8)
         self.pmask = pmask.astype(np.int64)
+
+    def _reserve(self, n: int) -> np.ndarray:
+        """Ids for n new atoms, the table grown to hold them."""
+        lo = self.next_atom
+        self.next_atom += n
+        if self.next_atom > len(self.vals):
+            self._grow(max(2 * len(self.vals), self.next_atom))
+        return np.arange(lo, self.next_atom)
 
     def _grow(self, size: int) -> None:
         n = len(self.vals)
@@ -249,26 +271,25 @@ class _Engine:
 
     def seed_item(self, pool_mask, atom, needed_mask) -> None:
         """Seat one atom, or an array of atoms, in a pool (or pools), needed
-        there by the users in `needed_mask`."""
+        there by the users in `needed_mask`, and queue it for that pool."""
         self.seat[atom] = pool_mask
         self.want[atom] = needed_mask
-
-    def _new_combo(self, pool_mask: int, S: int, atom_ids: np.ndarray,
-                   coefs: np.ndarray, payload: np.ndarray) -> int:
-        atom = self.next_atom
-        self.next_atom += 1
-        if atom == len(self.vals):
-            self._grow(2 * atom)
-        self.vals[atom] = payload
-        self.heard[atom] = S
-        self.src[atom] = pool_mask
-        self.combos[atom] = (atom_ids, coefs)
-        return atom
+        pools, atoms = np.broadcast_arrays(np.atleast_1d(pool_mask),
+                                           np.atleast_1d(atom))
+        order = np.argsort(pools, kind="stable")
+        keys, starts = np.unique(pools[order], return_index=True)
+        for pool, group in zip(keys.tolist(),
+                               np.split(atoms[order], starts[1:])):
+            if pool not in self.queue:
+                self.queue[pool] = []
+                heapq.heappush(self.pools,
+                               (pool.bit_count(), users_of(pool), pool))
+            self.queue[pool].append(group)
 
     # -- channel -----------------------------------------------------------
 
-    def _coefs(self, n: int, nonzero: bool = False) -> np.ndarray:
-        return self.coef_rng.integers(int(nonzero), self.q, n, dtype=np.uint8)
+    def _coefs(self, n: int) -> np.ndarray:
+        return self.coef_rng.integers(0, self.q, n, dtype=np.uint8)
 
     def _trace(self, pool_mask: int, S: int, action: str) -> None:
         if self.trace is not None:
@@ -279,12 +300,17 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> None:
-        for pool_mask in subsets_ascending(self.K):
-            atoms = np.flatnonzero(self.seat[:self.next_atom] == pool_mask)
+        # a promotion seats an atom in a strictly larger pool, which comes
+        # later, so a pool's queue is complete when the pool starts
+        while self.pools:
+            pool_mask = heapq.heappop(self.pools)[2]
+            atoms = np.sort(np.concatenate(self.queue.pop(pool_mask)))
+            # the table decides: an atom unseated since it was queued drops
+            atoms = atoms[self.seat[atoms] == pool_mask]
             if not atoms.size:
                 continue
             before = self.slot
-            if bin(pool_mask).count("1") == 1:
+            if pool_mask.bit_count() == 1:
                 self._run_raw(pool_mask, atoms)
             else:
                 self._run_multicast(pool_mask, atoms)
@@ -304,21 +330,24 @@ class _Engine:
     def _run_raw(self, pool_mask: int, atoms: np.ndarray) -> None:
         """Broadcast each raw packet until at least one user receives it."""
         k0 = pool_mask.bit_length() - 1
-        for atom in atoms.tolist():
-            while True:
+        while atoms.size:
+            states = self.chan.rows(SLOT_CHUNK)[1]
+            # the i-th slot somebody heard carries the i-th packet left
+            hit = np.flatnonzero(states)[:len(atoms)]
+            used = int(hit[-1]) + 1 if len(hit) == len(atoms) else len(states)
+            S, sent, atoms = states[hit], atoms[:len(hit)], atoms[len(hit):]
+            self.heard[sent] = S
+            out = (S >> k0 & 1) == 0
+            self.src[sent[out]] = pool_mask
+            self.seed_item(pool_mask | S[out], sent[out], 1 << k0)
+            self.chan.pos += used
+            if self.trace is None:
+                self.slot += used
+                continue
+            for S in states[:used].tolist():
                 self.slot += 1
-                S = self.chan.state()
-                if S == 0:
-                    self._trace(pool_mask, S, "waste")
-                    continue
-                self.heard[atom] = S
-                if S >> k0 & 1:
-                    self._trace(pool_mask, S, "deliver")
-                else:
-                    self.src[atom] = pool_mask
-                    self.seed_item(pool_mask | S, atom, 1 << k0)
-                    self._trace(pool_mask, S, "promote")
-                break
+                self._trace(pool_mask, S, "waste" if not S else
+                            "deliver" if S >> k0 & 1 else "promote")
 
     def _run_multicast(self, pool_mask: int, atoms: np.ndarray) -> None:
         needed = self.want[atoms]
@@ -330,55 +359,89 @@ class _Engine:
         heads: dict[int, list[int]] = {}
         for a, w in zip(atoms.tolist(), needed.tolist()):
             heads.setdefault(w, []).append(a)
-        support = None
+        # each slot somebody heard: its receivers, who moved up, and the
+        # combination (atoms, coefficients), stored when the pool ends
+        sent: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        split = support = None
+        regroup = True
         while active:
-            self.slot += 1
-            if support is None:
-                # the atoms combined until a head or the active set moves:
-                # one per set of an exact split of the active members, so
-                # each receiver meets one unknown, else every atom an
-                # active member wants
-                split = _exact_split(heads, active)
+            used = 0
+            for S in self.chan.rows(SLOT_CHUNK)[1].tolist():
+                used += 1
+                self.slot += 1
+                if regroup:
+                    # one set per part of an exact split of the active
+                    # members, so each receiver meets one unknown; it only
+                    # moves with the groups or the active set
+                    split = _exact_split(heads, active)
+                    regroup, support = False, None
                 if split:
-                    support = np.array([heads[w][0] for w in split])
+                    if support is None:
+                        # XOR of the lowest atom of each part
+                        support = np.array([heads[w][0] for w in split])
+                        coefs = _ONES[:len(split)]
                 else:
-                    support = atoms[np.nonzero(needed & active)[0]]
-                vals = self.vals[support]
-            coefs = self._coefs(len(support), nonzero=bool(split))
-            S = self.chan.state()
-            got = S & active
-            moved = (active & ~S) if (S & ~pool_mask) else 0
-            if S:
-                # a slot nobody heard needs no payload, and moves nothing
-                atom = self._new_combo(pool_mask, S, support, coefs,
-                                       gf_dot(coefs, vals))
-                if moved:
-                    self.seed_item(pool_mask | S, atom, moved)
-            if got:
-                self._trace(pool_mask, S, "deliver")
-            elif moved:
-                self._trace(pool_mask, S, "promote")
-            else:
-                self._trace(pool_mask, S, "waste")
-            # each user that received or moved up has one equation fewer
-            # and, after a head slot, has pinned its atom
-            done = got | moved
-            finished = 0
-            for k in users_of(done):
-                r[k - 1] -= 1
-                if not r[k - 1]:
-                    finished |= 1 << (k - 1)
-            if split and done:
-                for w in split:
-                    if w & done:
-                        _move_head(heads, w, w & ~done)
-                support = None
-            if finished:
-                active &= ~finished
-                for w in list(heads):
-                    if w & finished:
-                        _move_group(heads, w, w & active)
-                support = None
+                    # else every atom an active member wants, with fresh
+                    # coefficients each slot
+                    if support is None:
+                        support = atoms[np.nonzero(needed & active)[0]]
+                    coefs = self._coefs(len(support))
+                got = S & active
+                moved = (active & ~S) if (S & ~pool_mask) else 0
+                if S:
+                    # a slot nobody heard needs no payload, and moves nothing
+                    sent.append((S, moved, support, coefs))
+                if got:
+                    self._trace(pool_mask, S, "deliver")
+                elif moved:
+                    self._trace(pool_mask, S, "promote")
+                else:
+                    self._trace(pool_mask, S, "waste")
+                    continue
+                # each user that received or moved up has one equation fewer
+                # and, after a head slot, has pinned its atom
+                done = got | moved
+                finished = 0
+                for k0 in range(done.bit_length()):
+                    if done >> k0 & 1:
+                        r[k0] -= 1
+                        if not r[k0]:
+                            finished |= 1 << k0
+                if split:
+                    for w in split:
+                        if w & done:
+                            regroup |= _move_head(heads, w, w & ~done)
+                    support = None
+                if finished:
+                    active &= ~finished
+                    for w in list(heads):
+                        if w & finished:
+                            _move_group(heads, w, w & active)
+                    regroup = True
+                    if not active:
+                        break
+            self.chan.pos += used
+        self._store(pool_mask, sent)
+
+    def _store(self, pool_mask: int, sent: list) -> None:
+        """Enter a pool's combinations into the atom table, in the order
+        sent, their payloads by one fold.  They combine only atoms seated
+        in the pool before it started, none of them its own."""
+        if not sent:
+            return
+        S, moved, ids, coefs = zip(*sent)
+        new = self._reserve(len(sent))
+        S, moved = np.array(S), np.array(moved)
+        self.heard[new] = S
+        self.src[new] = pool_mask
+        up = moved != 0
+        self.seed_item(pool_mask | S[up], new[up], moved[up])
+        self.combos.update(zip(new.tolist(), zip(ids, coefs)))
+        rows = np.repeat(np.arange(len(sent)), [len(c) for c in coefs])
+        out = self.vals[new[0]:new[-1] + 1]
+        out[:] = 0
+        gf_fold(out, rows, np.concatenate(coefs), self.vals,
+                np.concatenate(ids))
 
     # -- decoding ----------------------------------------------------------
 
@@ -644,13 +707,18 @@ def _exact_split(sets, active: int) -> list[int] | None:
     return cover(active)
 
 
-def _move_head(heads: dict[int, list[int]], w: int, new: int) -> None:
-    """Move the lowest atom of group `w` to group `new` (none if 0)."""
+def _move_head(heads: dict[int, list[int]], w: int, new: int) -> bool:
+    """Move the lowest atom of group `w` to group `new` (none if 0), and
+    tell whether a group was emptied or begun."""
     atom = heapq.heappop(heads[w])
-    if not heads[w]:
+    emptied = not heads[w]
+    if emptied:
         del heads[w]
-    if new:
-        heapq.heappush(heads.setdefault(new, []), atom)
+    if not new:
+        return emptied
+    begun = new not in heads
+    heapq.heappush(heads.setdefault(new, []), atom)
+    return emptied or begun
 
 
 def _move_group(heads: dict[int, list[int]], w: int, new: int) -> None:

@@ -74,18 +74,20 @@ def gf_fold(out: np.ndarray, rows: np.ndarray, coefs: np.ndarray,
     `out` and `table` are (n, L) uint8 and `rows` is ascending, so the
     products of one row form a segment, XOR-reduced in one pass over
     words as wide as L allows.  Products use gf_dot's flat-table lookup,
-    at most FOLD_CHUNK bytes at a time.
+    at most FOLD_CHUNK bytes at a time, and a pass whose coefficients are
+    all 1 (XORs) needs none.
     """
     L = table.shape[1]
     word = np.dtype(f"u{min(8, L & -L)}")
     step = max(1, FOLD_CHUNK // L)
     for s in range(0, len(rows), step):
-        r = rows[s:s + step]
-        idx = ((coefs[s:s + step].astype(np.uint16) << 8)[:, None]
-               | table[ids[s:s + step]])
+        r, cs = rows[s:s + step], coefs[s:s + step]
+        prod = table[ids[s:s + step]]
+        if (cs != 1).any():
+            prod = _FLAT.take((cs.astype(np.uint16) << 8)[:, None] | prod)
         head = np.flatnonzero(np.diff(r, prepend=-1))
         out[r[head]] ^= np.bitwise_xor.reduceat(
-            _FLAT.take(idx).view(word), head, axis=0).view(np.uint8)
+            prod.view(word), head, axis=0).view(np.uint8)
 
 
 class InconsistentSystemError(Exception):

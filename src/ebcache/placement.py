@@ -16,6 +16,8 @@ import numpy as np
 
 from .model import SystemConfig, mask_of, users_of
 
+PLACEMENT_BLOCK = 1 << 16   # packets per draw of a decentralized placement
+
 
 @dataclass
 class PlacementMap:
@@ -49,14 +51,19 @@ class PlacementMap:
 
 def decentralized_placement(cfg: SystemConfig, seed: int) -> PlacementMap:
     """Each user caches each packet independently with probability
-    M_k / N; deterministic given the seed."""
+    M_k / N; deterministic given the seed.  A file's (F, K) doubles are
+    drawn PLACEMENT_BLOCK packets at a time, which bounds the temporaries;
+    numpy fills doubles in order, so the masks do not depend on it."""
     rng = np.random.default_rng(seed)
     p = np.asarray(cfg.p)
     powers = (1 << np.arange(cfg.K)).astype(np.uint32)
     masks = []
     for F in cfg.file_sizes:
-        bits = rng.random((F, cfg.K)) < p
-        masks.append((bits.astype(np.uint32) @ powers).astype(np.uint32))
+        mask = np.empty(F, dtype=np.uint32)
+        for lo in range(0, F, PLACEMENT_BLOCK):
+            bits = rng.random((min(PLACEMENT_BLOCK, F - lo), cfg.K)) < p
+            mask[lo:lo + len(bits)] = bits.astype(np.uint32) @ powers
+        masks.append(mask)
     return PlacementMap("decentralized", cfg.K, masks)
 
 

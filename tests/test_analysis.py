@@ -315,6 +315,21 @@ def test_worst_user_toy_and_singleton():
     assert worst_user(plan, [1, 2], rates=(0.1, 10.0)) == 2
 
 
+def test_worst_user_rescaling_refuses_a_zero_size():
+    plan = phase_plan(TOY, sizes=(0.0, 1.0))
+    assert worst_user(plan, [1, 2]) == 2
+    with pytest.raises(ValueError, match="zero size"):
+        worst_user(plan, [1, 2], rates=(1.0, 1.0))
+
+
+def test_sizes_must_give_one_size_per_user():
+    for sizes in [(1.0,), (1.0, 1.0, 1.0)]:
+        with pytest.raises(ValueError, match="one size per user"):
+            ttot_closed_form(TOY, sizes=sizes)
+        with pytest.raises(ValueError, match="one size per user"):
+            phase_plan(TOY, sizes=sizes)
+
+
 def test_order_capacity_values():
     assert order_capacity(3, 0.5, 2) == pytest.approx(9 / 16, abs=1e-12)
     assert order_capacity(3, 0.5, 3) == pytest.approx(0.5, abs=1e-12)
@@ -379,6 +394,16 @@ def test_miso_dof_coefficients():
         miso_dof_coefficient(3, 1)
     with pytest.raises(ValueError):
         miso_dof_coefficient(3, 1, p=0.1, b=1)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="1 <= k <= K"):
+            miso_dof_coefficient(3, k, p=0.1)
+
+
+def test_permutation_dominance_refuses_a_nonpositive_identity_side():
+    for rates in [(0.0, 0.0, 0.0), (-1.0, 0.5, 0.1)]:
+        with pytest.raises(ValueError, match="nonpositive LHS"):
+            permutation_dominance(cfg_of((.4,) * 3, (.3,) * 3),
+                                  RateVector(rates))
 
 
 def test_permutation_dominance_symmetric_and_two_user():

@@ -47,17 +47,27 @@ def test_full_caches_send_nothing():
 
 
 class ScriptedStream:
-    """Stands in for `ChannelStream`: hands out the given states, one a
-    slot, and stops the run if a slot outlasts the script."""
+    """Stands in for `ChannelStream`: hands out the given states in order,
+    in chunks that stop at the end of the script, and stops the run if a
+    slot outlasts it."""
 
     def __init__(self, states):
-        self.states = iter(states)
+        self.script, self.pos = np.asarray(states, dtype=np.int64), 0
 
     def __call__(self, K, delta, seed):
+        self.K = K
         return self
 
+    def rows(self, n):
+        states = self.script[self.pos:self.pos + n]
+        if not len(states):
+            raise StopIteration("a slot outlasts the script")
+        return (states[:, None] >> np.arange(self.K) & 1).astype(bool), states
+
     def state(self):
-        return next(self.states)
+        s = self.rows(1)[1][0]
+        self.pos += 1
+        return int(s)
 
 
 def test_scripted_two_user_overhear_and_combine(monkeypatch):
@@ -210,6 +220,12 @@ def test_finish_refuses_bytes_that_differ_from_the_packet():
         delivery._finish(eng, None)
 
 
+@pytest.mark.parametrize("order", [0, 4])
+def test_order_start_rejects_an_order_outside_1_to_K(order):
+    with pytest.raises(DeliveryError, match="order out of range"):
+        run_order_start(3, (0.3,) * 3, order, 5)
+
+
 def test_order_start_rejects_certain_erasure_up_front():
     # a user who never hears the channel would keep its pools open forever
     with pytest.raises(DeliveryError, match="delta"):
@@ -327,8 +343,8 @@ def _holds(eng, k0: int, atom: int) -> bool:
 def test_single_want_pools_send_one_atom_per_active_member(K, F, q, seed,
                                                             data):
     # In a pool where every atom has one wanting member, each combination
-    # carries the next atom, in ascending id, of every member still active,
-    # with a nonzero coefficient, and every other member holds it.  The
+    # is the XOR of the next atom, in ascending id, of every member still
+    # active (coefficient 1), and every other member holds it.  The
     # queues are replayed from the receiver set of each slot heard.
     delta = data.draw(st.lists(st.floats(0.0, 0.8), min_size=K, max_size=K))
     p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
@@ -346,7 +362,7 @@ def test_single_want_pools_send_one_atom_per_active_member(K, F, q, seed,
             ids, cs = eng.combos[atom]
             active = [k for k in users_of(J) if queue[k]]
             assert ids.tolist() == [queue[k][0] for k in active]
-            assert (cs != 0).all()
+            assert (cs == 1).all()
             for a, k in zip(ids.tolist(), active):
                 assert all(_holds(eng, j - 1, a) for j in users_of(J) if j != k)
             S, act = int(eng.heard[atom]), mask_of(active)
@@ -392,9 +408,9 @@ def check_multicast_pools(eng) -> int:
     An atom's remaining want starts as its want, and a member that
     received or moved up on a head combination leaves the want of its atom
     there.  Where the remaining wants of some atoms, cut to the active
-    members, partition them exactly, the combination carries the lowest
-    such atom of each part, ordered by lowest member, with nonzero
-    coefficients: each active member meets one atom it still has to pin
+    members, partition them exactly, the combination is the XOR
+    (coefficient 1) of the lowest such atom of each part, ordered by
+    lowest member: each active member meets one atom it still has to pin
     and holds the rest.  Elsewhere, and only where no set partition of the
     active members is made of the replayed sets, it carries every atom an
     active member wants."""
@@ -419,7 +435,7 @@ def check_multicast_pools(eng) -> int:
                 assert parts == sorted(parts, key=lambda T: T & -T)
                 assert all(a == min(b for b in members if cut[b] == T)
                            for a, T in zip(ids, parts))
-                assert all(cs)
+                assert cs == [1] * len(ids)
                 for k in users_of(active):
                     assert sum(rem[a] >> (k - 1) & 1 for a in ids) == 1
                     assert all(_holds(eng, k - 1, a) for a in ids
@@ -746,6 +762,40 @@ def test_fastsim_chunk_bounds_change_no_result(monkeypatch):
     monkeypatch.setattr(fastsim, "_SLOTS", np.arange(16)[:, None])
     got = [simulate_lengths(K, delta, needs, seed=6) for needs in cases]
     assert got == want
+
+
+
+def _engine_outputs(cfg, seed):
+    """The atom table, combinations, trace rows and result of a delivery."""
+    trace = []
+    eng = _delivered(cfg, decentralized_placement(cfg, seed),
+                     Demand.identity(cfg.K), seed, payload_len=2, trace=trace)
+    n = eng.next_atom
+    table = [a[:n].copy() for a in (eng.vals, eng.heard, eng.src, eng.seat,
+                                    eng.want)]
+    combos = {a: (ids.tolist(), cs.tolist())
+              for a, (ids, cs) in eng.combos.items()}
+    return table, combos, trace, delivery._finish(eng, None)
+
+
+@pytest.mark.parametrize("q", [2, 256])
+def test_slot_chunk_changes_no_result(q, monkeypatch):
+    # the slot loop looks at SLOT_CHUNK channel states at a time and
+    # consumes only the slots it used, so chunks of 1, of a prime and of
+    # more than any pool needs give what the default gives.  The first
+    # case has a pool that outlasts the default chunk, the second dense
+    # combinations and, at q=2, cleanup.
+    cases = [(cfg_of((0.5, 0.6, 0.4), (0.3, 0.2, 0.4), 400, q=q), 1),
+             (replace(CLEANUP_CFG, field_order=q), CLEANUP_SEED)]
+    want = [_engine_outputs(*case) for case in cases]
+    assert max(want[0][3].slots_per_subphase.values()) > delivery.SLOT_CHUNK
+    assert (want[1][3].cleanup_slots > 0) == (q == 2)
+    for chunk in (1, 7, 5000):
+        monkeypatch.setattr(delivery, "SLOT_CHUNK", chunk)
+        for (table, *rest), (table0, *rest0) in zip(
+                [_engine_outputs(*case) for case in cases], want):
+            assert all(map(np.array_equal, table, table0))
+            assert rest == rest0
 
 
 # -- block decoder against one global elimination -----------------------------

@@ -207,3 +207,16 @@ def test_identity_suite_draws_one_sided_fair_instances_up_to_K(monkeypatch):
     monkeypatch.setattr(analysis, "random_one_sided_fair", recording)
     assert analysis.identity_suite(K=6, samples=30, seed=0).ok()
     assert set(drawn) == {2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("check", ["worst_user", "permutation_dominance"])
+def test_identity_suite_reports_a_failed_ordering_check(check, monkeypatch):
+    # a worst user other than the first, or a dominance that fails, clears
+    # its flag and fails the suite, while the residuals stay small
+    wrong = {"worst_user": lambda plan, J: J[-1],
+             "permutation_dominance": lambda cfg, r: False}
+    monkeypatch.setattr(analysis, check, wrong[check])
+    rep = analysis.identity_suite(K=3, samples=5, seed=0)
+    assert rep.max_residual < analysis.IDENTITY_TOL and not rep.ok()
+    assert (rep.worst_user_ok, rep.dominance_ok) == (
+        check != "worst_user", check != "permutation_dominance")

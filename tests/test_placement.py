@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ebcache import placement
 from ebcache.model import SystemConfig
 from ebcache.placement import (centralized_placement, decentralized_placement,
                                unknown_fraction)
@@ -91,6 +92,26 @@ def test_centralized_rejects_bad_parameters():
     with pytest.raises(ValueError, match="equal"):
         centralized_placement(SystemConfig(K=2, N=2, delta=(.5, .5),
                                            mem=(1, 2), file_sizes=(4, 4)))
+
+
+def test_placement_blocks_change_no_mask(monkeypatch):
+    # drawing a file's doubles in blocks of rows gives the masks of one
+    # draw per file, the empty file and a block that ends a file included
+    cfg = SystemConfig(K=4, N=4, delta=(.5,) * 4, mem=(1, 2, .5, 3),
+                       file_sizes=(0, 1, 37, 8))
+    rng = np.random.default_rng(8)
+    one_shot = [(rng.random((F, 4)) < np.asarray(cfg.p)) @ (1 << np.arange(4))
+                for F in cfg.file_sizes]
+    monkeypatch.setattr(placement, "PLACEMENT_BLOCK", 4)
+    pm = decentralized_placement(cfg, 8)
+    assert [m.dtype for m in pm.cache_masks] == [np.uint32] * 4
+    assert all(map(np.array_equal, pm.cache_masks, one_shot))
+
+
+def test_unknown_fraction_of_an_empty_file_is_zero():
+    cfg = SystemConfig(K=2, N=2, delta=(.5, .5), mem=(1, 1), file_sizes=(0, 3))
+    pm = decentralized_placement(cfg, 0)
+    assert unknown_fraction(pm, 1, [1, 2]) == 0.0
 
 
 def test_unknown_fraction_centralized_exact():
