@@ -31,14 +31,14 @@ and the last pool it was seeded into with the users that need it there
 (`seat`, `want`).  A pool's members are the atoms seated in it, in
 ascending atom id; seating an atom also queues it for its pool, and a
 promotion always seats in a larger pool, which runs later, so a pool
-reads its members from its queue and empty pools cost nothing.  What a
-user heard, the rows it banked in its own pools, the pool where it needs
-each atom and every promotion are all read from the table.
+reads its members from its queue and an empty pool costs one lookup.
+What a user heard, the rows it banked in its own pools, the pool where
+it needs each atom and every promotion are all read from the table.
 
 The slot loop looks at the channel states in chunks and consumes only
 the slots it used.  A pool combines only atoms seated before it started,
-so its combinations enter the table when it ends, in one pass, every
-payload from one fold.
+so its combinations enter the table when it ends, in one pass, their
+payloads from one `gf_dot` call, one segment each.
 
 Decoding eliminates each user's banked equations pool by pool.  A pool
 only ever combines atoms (packets and promoted combinations) seeded into
@@ -63,9 +63,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf256 import InconsistentSystemError, gf_dot, gf_fold, rref
+from .gf256 import (FOLD_CHUNK, InconsistentSystemError, gf_dot, gf_fold,
+                     rref)
 from .model import (MAX_K, SUPPORTED_FIELD_ORDERS, Demand, SystemConfig,
-                    demand_for, mask_of, users_of)
+                    demand_for, mask_of, subsets_ascending, users_of)
 from .placement import PlacementMap
 
 CLEANUP_BUDGET_PER_USER = 64
@@ -228,10 +229,8 @@ class _Engine:
         self.must_decode: list[np.ndarray] = [np.empty(0, np.int64)] * K
         # combination atom -> (constituent atoms, coefs)
         self.combos: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # pool -> the atoms seated there, as appended; the pools that have
-        # any, in `subsets_ascending` order
+        # pool -> the atoms seated there, as appended
         self.queue: dict[int, list[np.ndarray]] = {}
-        self.pools: list[tuple] = []
         self.next_atom = 0
         self.slot = 0
         self.slots_per_subphase: dict[tuple[int, ...], int] = {}
@@ -280,11 +279,7 @@ class _Engine:
         keys, starts = np.unique(pools[order], return_index=True)
         for pool, group in zip(keys.tolist(),
                                np.split(atoms[order], starts[1:])):
-            if pool not in self.queue:
-                self.queue[pool] = []
-                heapq.heappush(self.pools,
-                               (pool.bit_count(), users_of(pool), pool))
-            self.queue[pool].append(group)
+            self.queue.setdefault(pool, []).append(group)
 
     # -- channel -----------------------------------------------------------
 
@@ -302,8 +297,9 @@ class _Engine:
     def run(self) -> None:
         # a promotion seats an atom in a strictly larger pool, which comes
         # later, so a pool's queue is complete when the pool starts
-        while self.pools:
-            pool_mask = heapq.heappop(self.pools)[2]
+        for pool_mask in subsets_ascending(self.K):
+            if pool_mask not in self.queue:
+                continue
             atoms = np.sort(np.concatenate(self.queue.pop(pool_mask)))
             # the table decides: an atom unseated since it was queued drops
             atoms = atoms[self.seat[atoms] == pool_mask]
@@ -425,8 +421,10 @@ class _Engine:
 
     def _store(self, pool_mask: int, sent: list) -> None:
         """Enter a pool's combinations into the atom table, in the order
-        sent, their payloads by one fold.  They combine only atoms seated
-        in the pool before it started, none of them its own."""
+        sent, their payloads by `gf_dot`, one segment each, whole
+        combinations and about FOLD_CHUNK products a call.  They combine
+        only atoms seated in the pool before it started, none of them its
+        own."""
         if not sent:
             return
         S, moved, ids, coefs = zip(*sent)
@@ -437,11 +435,14 @@ class _Engine:
         up = moved != 0
         self.seed_item(pool_mask | S[up], new[up], moved[up])
         self.combos.update(zip(new.tolist(), zip(ids, coefs)))
-        rows = np.repeat(np.arange(len(sent)), [len(c) for c in coefs])
-        out = self.vals[new[0]:new[-1] + 1]
-        out[:] = 0
-        gf_fold(out, rows, np.concatenate(coefs), self.vals,
-                np.concatenate(ids))
+        lens = np.array([len(c) for c in coefs])
+        heads = np.cumsum(lens) - lens
+        ids, coefs = np.concatenate(ids), np.concatenate(coefs)
+        cuts = np.flatnonzero(np.diff(heads // max(1, FOLD_CHUNK // self.L)))
+        for part in np.split(np.arange(len(sent)), cuts + 1):
+            lo, hi = heads[part[0]], heads[part[-1]] + lens[part[-1]]
+            self.vals[new[part]] = gf_dot(coefs[lo:hi], self.vals[ids[lo:hi]],
+                                          heads[part] - lo)
 
     # -- decoding ----------------------------------------------------------
 

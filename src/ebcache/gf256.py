@@ -12,9 +12,10 @@ residual system and cleanup all go through it; a system that grows by a
 row is stacked and reduced again.  Row updates are row gathers: the
 256-byte rows of MUL for the coefficients, indexed by the pivot row
 (`MUL[coefs][:, pivot_row]`), over a plain slice of the rows when every
-coefficient is nonzero and over the nonzero rows otherwise.  `gf_fold`
-accumulates products into the rows of a right-hand side by segment XOR,
-in bounded chunks.
+coefficient is nonzero and over the nonzero rows otherwise.  `gf_dot`
+gives one product per segment of its terms, so a whole batch of payloads
+is one call, and `gf_fold` accumulates such products into the rows of a
+right-hand side in bounded chunks.
 """
 
 from __future__ import annotations
@@ -50,18 +51,35 @@ INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[255 - LOG[_nz]]
 
 
-def gf_dot(coefs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """XOR-accumulated product of coefs (n,) with values (n,) or (n, L)."""
-    if len(coefs) == 0:
-        width = values.shape[1:] if values.ndim > 1 else ()
-        return np.zeros(width, dtype=np.uint8)
-    if values.ndim == 1:
-        return np.bitwise_xor.reduce(MUL[coefs, values])
-    # one lookup per product in the flat table, at (coef << 8) | value;
-    # 16-bit indices keep the temporary small for wide payloads
-    idx = (coefs.astype(np.uint16) << 8)[:, None] | values
-    return np.bitwise_xor.reduce(_FLAT.take(idx), axis=0)
+def gf_dot(coefs: np.ndarray, values: np.ndarray,
+           heads: np.ndarray | None = None) -> np.ndarray:
+    """XOR-accumulated product of coefs (n,) with values (n,) or (n, L).
 
+    Given `heads`, the ascending starts of nonempty segments that cover
+    the n terms, one product per segment, (len(heads),) or
+    (len(heads), L).  Products are lookups in the flat table, at
+    (coef << 8) | value; coefficients that are all 1 (XORs) need none,
+    and each segment is XOR-reduced in one pass over words as wide as L
+    allows.
+    """
+    if heads is None:
+        if len(coefs) == 0:
+            return np.zeros(values.shape[1:], dtype=np.uint8)
+        return gf_dot(coefs, values, _FIRST)[0]
+    if (coefs != 1).any():
+        # 16-bit indices keep the temporary small for wide payloads
+        shifted = coefs.astype(np.uint16) << 8
+        values = _FLAT.take(shifted.reshape((-1,) + (1,) * (values.ndim - 1))
+                            | values)
+    values = np.ascontiguousarray(values)
+    L = values.shape[-1] if values.ndim > 1 else 1
+    word = np.dtype(f"u{min(8, L & -L)}")
+    return np.bitwise_xor.reduceat(values.view(word), heads,
+                                   axis=0).view(np.uint8)
+
+
+_FIRST = np.zeros(1, dtype=np.intp)   # one segment, all the terms
+_FIRST.flags.writeable = False
 
 # products per pass of gf_fold, which bounds its temporaries for wide payloads
 FOLD_CHUNK = 1 << 16
@@ -72,22 +90,14 @@ def gf_fold(out: np.ndarray, rows: np.ndarray, coefs: np.ndarray,
     """out[rows[i]] ^= coefs[i] * table[ids[i]] for every i, in place.
 
     `out` and `table` are (n, L) uint8 and `rows` is ascending, so the
-    products of one row form a segment, XOR-reduced in one pass over
-    words as wide as L allows.  Products use gf_dot's flat-table lookup,
-    at most FOLD_CHUNK bytes at a time, and a pass whose coefficients are
-    all 1 (XORs) needs none.
+    products of one row form a segment of `gf_dot`, at most FOLD_CHUNK
+    bytes a pass.
     """
-    L = table.shape[1]
-    word = np.dtype(f"u{min(8, L & -L)}")
-    step = max(1, FOLD_CHUNK // L)
+    step = max(1, FOLD_CHUNK // table.shape[1])
     for s in range(0, len(rows), step):
-        r, cs = rows[s:s + step], coefs[s:s + step]
-        prod = table[ids[s:s + step]]
-        if (cs != 1).any():
-            prod = _FLAT.take((cs.astype(np.uint16) << 8)[:, None] | prod)
+        r = rows[s:s + step]
         head = np.flatnonzero(np.diff(r, prepend=-1))
-        out[r[head]] ^= np.bitwise_xor.reduceat(
-            prod.view(word), head, axis=0).view(np.uint8)
+        out[r[head]] ^= gf_dot(coefs[s:s + step], table[ids[s:s + step]], head)
 
 
 class InconsistentSystemError(Exception):

@@ -782,16 +782,18 @@ def _engine_outputs(cfg, seed):
 def test_slot_chunk_changes_no_result(q, monkeypatch):
     # the slot loop looks at SLOT_CHUNK channel states at a time and
     # consumes only the slots it used, so chunks of 1, of a prime and of
-    # more than any pool needs give what the default gives.  The first
-    # case has a pool that outlasts the default chunk, the second dense
-    # combinations and, at q=2, cleanup.
+    # more than any pool needs give what the default gives; so do
+    # payloads built one combination per gf_dot call (FOLD_CHUNK 1) or a
+    # few.  The first case has a pool that outlasts the default chunk,
+    # the second dense combinations and, at q=2, cleanup.
     cases = [(cfg_of((0.5, 0.6, 0.4), (0.3, 0.2, 0.4), 400, q=q), 1),
              (replace(CLEANUP_CFG, field_order=q), CLEANUP_SEED)]
     want = [_engine_outputs(*case) for case in cases]
     assert max(want[0][3].slots_per_subphase.values()) > delivery.SLOT_CHUNK
     assert (want[1][3].cleanup_slots > 0) == (q == 2)
-    for chunk in (1, 7, 5000):
+    for chunk, fold in ((1, 1), (7, 50), (5000, delivery.FOLD_CHUNK)):
         monkeypatch.setattr(delivery, "SLOT_CHUNK", chunk)
+        monkeypatch.setattr(delivery, "FOLD_CHUNK", fold)
         for (table, *rest), (table0, *rest0) in zip(
                 [_engine_outputs(*case) for case in cases], want):
             assert all(map(np.array_equal, table, table0))

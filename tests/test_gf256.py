@@ -60,6 +60,27 @@ def test_gf_dot_matches_scalar_loop():
     assert gf_dot(np.empty(0, np.uint8), np.empty((0, 2), np.uint8)).shape == (2,)
 
 
+@pytest.mark.parametrize("shape", [(40,), (40, 3), (40, 8)])
+@pytest.mark.parametrize("xor", [False, True])
+def test_gf_dot_gives_one_product_per_segment(shape, xor):
+    rng = np.random.default_rng(2)
+    coefs = (np.ones(40, np.uint8) if xor
+             else rng.integers(0, 256, 40, dtype=np.uint8))
+    vals = rng.integers(0, 256, shape, dtype=np.uint8)
+    heads = np.array([0, 1, 2, 9, 30, 39])
+    got = gf_dot(coefs, vals, heads)
+    assert got.shape == (len(heads),) + shape[1:]
+    for i, (lo, hi) in enumerate(zip(heads, [*heads[1:], 40])):
+        want = np.zeros(shape[1:], dtype=np.uint8)
+        for c, row in zip(coefs[lo:hi], vals[lo:hi]):
+            want ^= MUL[c, row]
+        assert np.array_equal(got[i], want)
+    # a strided view of a wider buffer gives the same products
+    wide = np.zeros((40, 2) + shape[1:], np.uint8)
+    wide[:, 0] = vals
+    assert np.array_equal(gf_dot(coefs, wide[:, 0], heads), got)
+
+
 def system(rows, n):
     """Augmented uint8 matrix from (coefficient list, payload byte) rows."""
     m = np.array([list(c) + [p] for c, p in rows], dtype=np.uint8)
