@@ -41,9 +41,14 @@ def main():
     ap.add_argument("--trials", type=int, default=5)
     ap.add_argument("--F", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for the trials (>= 1); never "
+                    "more than the trials or the CPUs, and the table does "
+                    "not depend on it")
     ap.add_argument("-o", "--out", default="-")
     args = ap.parse_args()
+    if args.jobs < 1:
+        sys.exit("error: --jobs must be >= 1")
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(fh, lineterminator="\n")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import (Demand, RateVector, SystemConfig, demand_for, mask_of,
                     subsets_ascending, users_of)
-from .placement import PlacementMap
+from .placement import PlacementMap, validate_placement
 
 MAX_PERMUTATION_K = 8
 FEASIBILITY_TOL = 1e-9    # slack on the largest inequality's left-hand side
@@ -241,6 +241,7 @@ def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
     # need0[k0][c]: packets user k0 lacks that exactly the users in c cache
     if placement is not None:
         demand = demand_for(cfg, demand)
+        validate_placement(cfg, placement)
         need0 = [placement.subset_counts(demand.file_of(k)).astype(float)
                  .tolist() for k in range(1, K + 1)]
     else:

@@ -280,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vary", choices=("delta", "mem", "K"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for the trials (>= 1, default: "
+                   "the CPU count); never more than the trials or the "
+                   "CPUs, and the results do not depend on it")
     p.add_argument("--scheme", choices=("decentralized", "centralized"),
                    default="decentralized")
     p.set_defaults(fn=_cmd_sweep)

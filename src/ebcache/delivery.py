@@ -24,16 +24,18 @@ drives the bookkeeping:
     fresh combination goes out next.
 
 Every atom (a packet or a combination) is carried by at most one slot,
-so one atom table, grown with the atom values, holds what the feedback
-told: the receiver set of the slot that carried each atom (`heard`), the
-pool the atom left (`src`, as a combination sent or a packet promoted),
+so one atom table holds each atom's value, its terms and what the
+feedback told: the receiver set of the slot that carried it (`heard`),
+the pool it left (`src`, as a combination sent or a packet promoted),
 and the last pool it was seeded into with the users that need it there
-(`seat`, `want`).  A pool's members are the atoms seated in it, in
-ascending atom id; seating an atom also queues it for its pool, and a
-promotion always seats in a larger pool, which runs later, so a pool
-reads its members from its queue and an empty pool costs one lookup.
-What a user heard, the rows it banked in its own pools, the pool where
-it needs each atom and every promotion are all read from the table.
+(`seat`, `want`).  Atom a combines `terms[first[a]:first[a + 1]]` with
+the coefficients `tcoef` holds there; a packet combines none.  A pool's
+members are the atoms seated in it, in ascending atom id; seating an
+atom also queues it for its pool, and a promotion always seats in a
+larger pool, which runs later, so a pool reads its members from its
+queue and an empty pool costs one lookup.  What a user heard, the rows
+it banked in its own pools, the pool where it needs each atom and every
+promotion are all read from the table.
 
 The slot loop looks at the channel states in chunks and consumes only
 the slots it used.  A pool combines only atoms seated before it started,
@@ -46,7 +48,7 @@ it, so the equations fall into one block per pool, eliminated in
 dependency order with solved values folded into later right-hand sides;
 pools closed in a cycle are merged into one block.  A user's rows are
 built in one CSR layout (row node, columns, coefficients, right-hand
-side) by a few vectorized passes, and each block is filled with one
+side), one wave at a time, and each block is filled with one
 scatter.  `gf256.rref`, the only elimination routine, brings every
 block to reduced row echelon form.  Rank-deficient blocks and everything
 downstream of them form one residual system, reduced the same way.
@@ -67,15 +69,13 @@ from .gf256 import (FOLD_CHUNK, InconsistentSystemError, gf_dot, gf_fold,
                      rref)
 from .model import (MAX_K, SUPPORTED_FIELD_ORDERS, Demand, SystemConfig,
                     demand_for, mask_of, subsets_ascending, users_of)
-from .placement import PlacementMap
+from .placement import PlacementMap, validate_placement
 
 CLEANUP_BUDGET_PER_USER = 64
-ROW_CHUNK = 32          # rows per pass when a user's rows are built
 SLOT_CHUNK = 256        # channel states per look of the slot loop
 _NO_I64 = np.empty(0, dtype=np.int64)
 _NO_I32 = np.empty(0, dtype=np.int32)
 _NO_U8 = np.empty(0, dtype=np.uint8)
-_ONE = np.ones(1, dtype=np.uint8)
 _ONES = np.ones(MAX_K, dtype=np.uint8)  # an XOR's coefficients
 _ONES.flags.writeable = False
 
@@ -129,6 +129,16 @@ def promotion_keys(src, dst, k0):
     """One int64 key per promotion of an equation for user k0 + 1 from
     pool `src` to pool `dst`, as `SimResult.realized_transfers` reads it."""
     return (src << MAX_K | dst) << MAX_K | k0
+
+
+def _room(arrays, n: int) -> list[np.ndarray]:
+    """The arrays, zero-padded to max(n, twice their rows) if shorter."""
+    arrays = list(arrays)
+    for i, a in enumerate(arrays):
+        if n > len(a):
+            arrays[i] = np.zeros((max(n, 2 * len(a)), *a.shape[1:]), a.dtype)
+            arrays[i][:len(a)] = a
+    return arrays
 
 
 def _same(a, b) -> bool:
@@ -207,6 +217,11 @@ class _Engine:
         if q not in SUPPORTED_FIELD_ORDERS:
             raise DeliveryError(f"field order {q} unsupported "
                                 f"(choose from {SUPPORTED_FIELD_ORDERS})")
+        if (isinstance(payload_len, bool)
+                or not isinstance(payload_len, (int, np.integer))
+                or payload_len < 1):
+            raise DeliveryError(f"payload length must be a whole number of "
+                                f"bytes >= 1, got {payload_len!r}")
         self.K = K
         # packet values are default_rng(seed)'s first draw; coefficients and
         # channel states have streams of their own, whatever the payload
@@ -221,14 +236,13 @@ class _Engine:
         self.npackets = 0
         # the atom table, packets first, then combinations as sent: value,
         # receiver set of the carrying slot (0 if none), the pool it left
-        # (0 if none), last pool seeded into and who needs it there.
-        # A pool's members are the atoms seated in it.
+        # (0 if none), last pool seeded into and who needs it there, and
+        # where its terms start in `terms`/`tcoef` (packets have none).
         self.vals = np.empty((0, payload_len), dtype=np.uint8)
-        self.heard = self.src = self.seat = self.want = _NO_I64
+        self.heard = self.src = self.seat = self.want = self.first = _NO_I64
+        self.terms, self.tcoef = _NO_I64, _NO_U8
         self.pmask: np.ndarray | None = None            # caching bitmask
         self.must_decode: list[np.ndarray] = [np.empty(0, np.int64)] * K
-        # combination atom -> (constituent atoms, coefs)
-        self.combos: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # pool -> the atoms seated there, as appended
         self.queue: dict[int, list[np.ndarray]] = {}
         self.next_atom = 0
@@ -247,21 +261,16 @@ class _Engine:
         self.pmask = pmask.astype(np.int64)
 
     def _reserve(self, n: int) -> np.ndarray:
-        """Ids for n new atoms, the table grown to hold them."""
+        """Ids for n new atoms; the table grows to hold first[next_atom]."""
         lo = self.next_atom
         self.next_atom += n
-        if self.next_atom > len(self.vals):
-            self._grow(max(2 * len(self.vals), self.next_atom))
+        self._grow(self.next_atom + 1)
         return np.arange(lo, self.next_atom)
 
-    def _grow(self, size: int) -> None:
-        n = len(self.vals)
-        vals = np.empty((size, self.L), dtype=np.uint8)
-        vals[:n] = self.vals
-        self.vals = vals
-        self.heard, self.src, self.seat, self.want = (
-            np.concatenate([a, np.zeros(size - n, np.int64)])
-            for a in (self.heard, self.src, self.seat, self.want))
+    def _grow(self, n: int) -> None:
+        (self.vals, self.heard, self.src, self.seat, self.want,
+         self.first) = _room((self.vals, self.heard, self.src, self.seat,
+                              self.want, self.first), n)
 
     @property
     def values(self) -> np.ndarray:
@@ -434,14 +443,18 @@ class _Engine:
         self.src[new] = pool_mask
         up = moved != 0
         self.seed_item(pool_mask | S[up], new[up], moved[up])
-        self.combos.update(zip(new.tolist(), zip(ids, coefs)))
-        lens = np.array([len(c) for c in coefs])
-        heads = np.cumsum(lens) - lens
-        ids, coefs = np.concatenate(ids), np.concatenate(coefs)
-        cuts = np.flatnonzero(np.diff(heads // max(1, FOLD_CHUNK // self.L)))
+        self.first[new + 1] = self.first[new[0]] + np.cumsum(
+            [len(c) for c in coefs])
+        heads, end = self.first[new], self.first[new[-1] + 1]
+        self.terms, self.tcoef = _room((self.terms, self.tcoef), end)
+        self.terms[heads[0]:end] = np.concatenate(ids)
+        self.tcoef[heads[0]:end] = np.concatenate(coefs)
+        step = max(1, FOLD_CHUNK // self.L)
+        cuts = np.flatnonzero(np.diff((heads - heads[0]) // step))
         for part in np.split(np.arange(len(sent)), cuts + 1):
-            lo, hi = heads[part[0]], heads[part[-1]] + lens[part[-1]]
-            self.vals[new[part]] = gf_dot(coefs[lo:hi], self.vals[ids[lo:hi]],
+            lo, hi = heads[part[0]], self.first[new[part[-1]] + 1]
+            self.vals[new[part]] = gf_dot(self.tcoef[lo:hi],
+                                          self.vals[self.terms[lo:hi]],
                                           heads[part] - lo)
 
     # -- decoding ----------------------------------------------------------
@@ -466,10 +479,10 @@ class _Engine:
 
         Rows are sorted by node, a pool node's rows in the order they
         were sent, so the rows the user heard after it stopped needing
-        anything there come last.  The passes are vectorized: gather the
-        combinations, fold the known atoms into the right-hand sides,
-        give fresh case-B atoms columns, and repeat on their definitions,
-        wave by wave, until no fresh atom is met.
+        anything there come last.  Each wave is a few vectorized passes:
+        gather the rows' terms, fold the known atoms into the right-hand
+        sides, give fresh case-B atoms columns, and the next wave holds
+        their definitions, until no fresh atom is met.
         """
         bit = 1 << k0
         L = self.L
@@ -491,49 +504,40 @@ class _Engine:
         atoms = np.concatenate([member, needed[needed >= self.npackets]])
         src = self.src[atoms]
         order = np.lexsort((atoms, src))
-        combos = [self.combos[a] for a in atoms[order].tolist()]
         atoms, node = atoms[order], src[order]
-        defines = col[atoms] >= 0
-        rhs = np.zeros((len(atoms), L), dtype=np.uint8)
-        rhs[~defines] = self.vals[atoms[~defines]]
-        nodes, rhss = [], []
-        counts = [_NO_I64]                      # entries per row
-        ents = [(_NO_I32, _NO_U8)]              # (column, coefficient)
+        nodes, rhss, counts, ents = [], [], [], []
         while True:
+            own = col[atoms] >= 0               # the definitions
+            rhs = np.zeros((len(atoms), L), dtype=np.uint8)
+            rhs[~own] = self.vals[atoms[~own]]
             nodes.append(node)
             rhss.append(rhs)
+            # every row's terms, one CSR gather
+            lo = self.first[atoms]
+            lens = self.first[atoms + 1] - lo
+            row = np.repeat(np.arange(len(atoms)), lens)
+            at = np.arange(len(row)) + (lo - np.cumsum(lens) + lens)[row]
+            ids, cs = self.terms[at], self.tcoef[at]
+            kn = known[ids]
+            gf_fold(rhs, row[kn], cs[kn], self.vals, ids[kn])
+            keep = ~kn & (cs != 0)
+            ids, cs, row = ids[keep], cs[keep], row[keep]
+            fresh = np.unique(ids[col[ids] < 0])
+            col[fresh] = np.arange(ncols, ncols + len(fresh))
+            ncols += len(fresh)
             # a definition's own atom closes its row, with coefficient 1
-            parts = [(np.append(cb[0], a), np.append(cb[1], _ONE)) if d
-                     else cb for cb, a, d in
-                     zip(combos, atoms.tolist(), defines.tolist())]
-            lens = np.fromiter((len(p[1]) for p in parts), np.int64,
-                               len(parts))
-            fresh = [_NO_I64]
-            # a chunk of rows at a time bounds the temporaries
-            for lo in range(0, len(parts), ROW_CHUNK):
-                hi = min(lo + ROW_CHUNK, len(parts))
-                ids = np.concatenate([p[0] for p in parts[lo:hi]])
-                cs = np.concatenate([p[1] for p in parts[lo:hi]])
-                row = np.repeat(np.arange(hi - lo), lens[lo:hi])
-                kn = known[ids]
-                gf_fold(rhs[lo:hi], row[kn], cs[kn], self.vals, ids[kn])
-                kn |= cs == 0
-                keep = (~kn).nonzero()[0]
-                ids, cs, row = ids[keep], cs[keep], row[keep]
-                new = np.unique(ids[col[ids] < 0])
-                col[new] = np.arange(ncols, ncols + len(new))
-                ncols += len(new)
-                fresh.append(new)
-                ents.append((col[ids], cs))
-                counts.append(np.bincount(row, minlength=hi - lo))
-            atoms = np.concatenate(fresh)
+            own = np.flatnonzero(own)
+            ids = np.concatenate([ids, atoms[own]])
+            cs = np.concatenate([cs, np.ones(len(own), np.uint8)])
+            row = np.concatenate([row, own])
+            order = np.argsort(row, kind="stable")
+            ents.append((col[ids][order], cs[order]))
+            counts.append(np.bincount(row, minlength=len(atoms)))
+            atoms = fresh
             if not len(atoms):
                 break
             # next wave: the definitions of the fresh case-B atoms
-            combos = [self.combos[a] for a in atoms.tolist()]
-            defines = np.ones(len(atoms), dtype=bool)
             node = self.full + 1 + col[atoms].astype(np.int64)
-            rhs = np.zeros((len(atoms), L), dtype=np.uint8)
         node = np.concatenate(nodes)
         c, cs = (np.concatenate(x) for x in zip(*ents))
         ptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
@@ -820,7 +824,8 @@ def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = No
     per-user byte-exact decoding results; a rank shortfall triggers
     feedback cleanup, and exhausting the cleanup budget raises
     CleanupBudgetExceeded.  A demand that does not give each user a
-    distinct file in 1..N raises ConfigError.
+    distinct file in 1..N, or a placement of other files, raises
+    ConfigError.
     """
     eng = _delivered(cfg, pm, demand, seed, payload_len, trace)
     return _finish(eng, cleanup_budget)
@@ -832,6 +837,7 @@ def _delivered(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None,
     """The engine after seeding the pools and running phases 1..K, before
     any decoding."""
     demand = demand_for(cfg, demand)
+    validate_placement(cfg, pm)
     eng = _Engine(cfg.K, cfg.delta, seed, q=cfg.field_order,
                   payload_len=payload_len, trace=trace)
     off = np.concatenate([[0], np.cumsum(cfg.file_sizes)]).astype(np.int64)

@@ -8,6 +8,7 @@ Demands are fixed to user k requesting file k throughout.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import comb, isfinite, sqrt
@@ -65,11 +66,16 @@ def monte_carlo(cfg: SystemConfig, trials: int = DEFAULT_TRIALS, seed: int = 0,
                 scheme: str = "decentralized", jobs: int = 1
                 ) -> MonteCarloResult:
     """Mean delivery length in file units over independent seeded trials,
-    with a 95% confidence half-width.  User k requests file k."""
+    with a 95% confidence half-width.  User k requests file k.  At most
+    `jobs` worker processes run the trials, never more than there are
+    trials or CPUs; the results do not depend on how many."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     children = np.random.SeedSequence(seed).spawn(trials)
     tasks = [(cfg, scheme, *trial_seeds(child)) for child in children]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_one_trial, tasks))
     else:
         values = [_one_trial(t) for t in tasks]
@@ -111,6 +117,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.F < 1:
             raise ValueError("F must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.varying not in ("delta", "mem", "K"):
             raise ValueError(f"cannot vary {self.varying!r}")
         if self.varying == "K" and not all(float(v).is_integer()

@@ -11,25 +11,28 @@ The needs table is a (2^K, K) int64 array: row J, column k0 holds the
 equations user k0 + 1 still needs from pool J (a bitmask of users).  Only
 members count, so entries outside a pool, and row 0, are ignored.
 
-Sub-phases run in `subsets_ascending` order.  Each looks at chunks of
-channel states, every member of the pool served by the same chunk: one
-cumulative sum over the (slot, member) progress matrix gives each
-member's finishing slot, and one `nonzero` over the overheard-outside
-matrix, cut at those slots, gives every promotion, scattered into a
-single (2^K, K) table of pending counts and kept by its key for
-`SimResult.realized_transfers`.  The sub-phase consumes the
+Sub-phases run in `subsets_ascending` order, skipping the pools with
+nothing pending, which are found once per cardinality.  Each looks at
+chunks of channel states, every member of the pool served by the same
+chunk: one cumulative sum over the (slot, member) progress matrix gives
+each member's finishing slot, and one `nonzero` over the
+overheard-outside matrix, cut at those slots, gives every promotion,
+scattered into a single (2^K, K) table of pending counts and kept by
+its key for `SimResult.realized_transfers`.  The sub-phase consumes the
 chunk up to the last finishing slot and leaves the rest in the stream,
 or consumes it all and looks at another; chunk sizes set only speed.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .delivery import ChannelStream, SimResult, promotion_keys
 from .model import (Demand, SystemConfig, demand_for, subsets_ascending,
                     users_of)
-from .placement import PlacementMap
+from .placement import PlacementMap, validate_placement
 
 _MIN_CHUNK, _CHUNK = 128, 8192
 _SLOTS = np.arange(_CHUNK)[:, None]
@@ -40,6 +43,7 @@ def initial_needs(cfg: SystemConfig, pm: PlacementMap,
     """The initial needs table: packets of user k's file cached by
     exactly C are outstanding for k in pool C + {k}."""
     demand = demand_for(cfg, demand)
+    validate_placement(cfg, pm)
     masks = np.arange(1 << cfg.K)
     needs = np.zeros((1 << cfg.K, cfg.K), dtype=np.int64)
     for k in range(1, cfg.K + 1):
@@ -74,10 +78,8 @@ def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int) -> SimResult:
     moved = [np.empty(0, dtype=np.int64)]   # promotion keys
     per_subphase: dict[tuple[int, ...], int] = {}
     total = 0
-    for pool in subsets_ascending(K):
+    for pool in _live_pools(K, pending):
         act = np.flatnonzero(pending[pool])
-        if not act.size:
-            continue
         need = pending[pool, act]
         length = 0
         while act.size:
@@ -104,6 +106,16 @@ def simulate_lengths(K: int, delta, needs: np.ndarray, seed: int) -> SimResult:
         total += length
     keys, counts = np.unique(np.concatenate(moved), return_counts=True)
     return SimResult(total, per_subphase, None, 0, keys, counts)
+
+
+def _live_pools(K: int, pending: np.ndarray):
+    """The pools with pending equations, in `subsets_ascending` order,
+    picked one cardinality at a time as the caller reaches it: promotions
+    only reach larger pools, so a cardinality's rows are final by then."""
+    order = np.asarray(subsets_ascending(K))
+    ends = np.cumsum([comb(K, c) for c in range(1, K)])
+    for pools in np.split(order, ends):
+        yield from pools[pending[pools].any(axis=1)].tolist()
 
 
 def run_delivery_lengths(cfg: SystemConfig, pm: PlacementMap,

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import SystemConfig, mask_of, users_of
+from .model import ConfigError, SystemConfig, mask_of, users_of
 
 PLACEMENT_BLOCK = 1 << 16   # packets per draw of a decentralized placement
 
@@ -47,6 +47,23 @@ class PlacementMap:
             "files": [[list(users_of(int(m))) for m in masks]
                       for masks in self.cache_masks],
         }
+
+
+def validate_placement(cfg: SystemConfig, pm: PlacementMap) -> None:
+    """ConfigError unless the placement caches the config's files: K
+    users, N files, each with as many packets as the config gives it."""
+    bad = []
+    if pm.K != cfg.K:
+        bad.append(f"K {pm.K} (config {cfg.K})")
+    sizes = tuple(len(m) for m in pm.cache_masks)
+    if len(sizes) != cfg.N:
+        bad.append(f"{len(sizes)} files (config {cfg.N})")
+    elif sizes != cfg.file_sizes:
+        bad.append(f"file sizes {list(sizes)} (config "
+                   f"{list(cfg.file_sizes)})")
+    if bad:
+        raise ConfigError(f"placement does not fit the config: "
+                          f"{', '.join(bad)}")
 
 
 def decentralized_placement(cfg: SystemConfig, seed: int) -> PlacementMap:

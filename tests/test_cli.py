@@ -273,6 +273,9 @@ def test_decode_failure_is_exit_2(capsys, tmp_path):
     ["sweep", "--vary", "mem", "--grid", "0", "--trials", "2", "--jobs", "1",
      "--F", str(MAX_FILE_PACKETS + 1)],
     ["simulate", "--start-phase", "2", "--full"],
+    ["sweep", "--vary", "mem", "--grid", "0", "--trials", "2", "--jobs", "0"],
+    ["sweep", "--vary", "mem", "--grid", "0", "--trials", "2", "--jobs",
+     "-3"],
 ])
 def test_bad_numeric_inputs_are_exit_1_before_any_work(capsys, two_user, argv):
     code = main([argv[0], "--config", two_user, *argv[1:]])

@@ -28,6 +28,13 @@ def cfg_of(delta, p, F, q=256):
                         file_sizes=(F,) * K, field_order=q)
 
 
+def terms_of(eng, atom: int):
+    """The atoms a combination combines and their coefficients, read from
+    the atom table; a packet has none."""
+    span = slice(eng.first[atom], eng.first[atom + 1])
+    return eng.terms[span], eng.tcoef[span]
+
+
 def test_perfect_link_no_cache_sends_each_packet_once():
     cfg = cfg_of((0.0,) * 3, (0.0,) * 3, 40)
     pm = decentralized_placement(cfg, 0)
@@ -135,9 +142,11 @@ def test_every_payload_matches_its_packet_expansion():
     n = eng.npackets
     expansion = np.zeros((eng.next_atom, n), dtype=np.uint8)
     expansion[np.arange(n), np.arange(n)] = 1
-    assert len(eng.combos) == eng.next_atom - n > 0
+    assert eng.next_atom > n
+    assert not eng.first[:n + 1].any()          # packets have no terms
+    assert (np.diff(eng.first[n:eng.next_atom + 1]) > 0).all()
     for atom in range(n, eng.next_atom):
-        ids, cs = eng.combos[atom]
+        ids, cs = terms_of(eng, atom)
         for a, c in zip(ids.tolist(), cs.tolist()):
             expansion[atom] ^= MUL[c, expansion[a]]
         want = np.zeros(eng.L, dtype=np.uint8)
@@ -224,6 +233,39 @@ def test_finish_refuses_bytes_that_differ_from_the_packet():
 def test_order_start_rejects_an_order_outside_1_to_K(order):
     with pytest.raises(DeliveryError, match="order out of range"):
         run_order_start(3, (0.3,) * 3, order, 5)
+
+
+@pytest.mark.parametrize("payload_len", [0, -1, 2.5, True])
+def test_payload_length_must_be_a_whole_number_of_bytes(payload_len):
+    cfg = cfg_of((0.3, 0.3), (0.5, 0.5), 20)
+    with pytest.raises(DeliveryError, match="payload length"):
+        run_delivery(cfg, decentralized_placement(cfg, 1),
+                     payload_len=payload_len)
+
+
+def test_store_grows_the_table_at_its_boundary():
+    # combinations that fill the atom table to its last row still find
+    # first[next_atom], where their terms end: the table grows to hold
+    # next_atom + 1 rows, and later combinations start where they ended
+    eng = delivery._Engine(2, (0.5, 0.5), seed=0, payload_len=3)
+    eng.set_packets(2, np.zeros(2, dtype=np.int64))
+    room = len(eng.vals) - eng.next_atom
+    xor = (1, 0, np.array([0, 1]), np.ones(2, dtype=np.uint8))
+    eng._store(3, [xor] * room)
+    assert eng.next_atom == room + 2 < len(eng.vals)
+    last = (2, 0, np.array([1, eng.next_atom - 1]),
+            np.array([5, 7], dtype=np.uint8))
+    eng._store(3, [last])
+    assert eng.first[eng.next_atom] == 2 * room + 2
+    for atom in range(2, eng.next_atom):
+        _, _, ids, cs = xor if atom < room + 2 else last
+        got = terms_of(eng, atom)
+        assert got[0].tolist() == ids.tolist()
+        assert got[1].tolist() == cs.tolist()
+        want = np.zeros(3, dtype=np.uint8)
+        for a, c in zip(ids.tolist(), cs.tolist()):
+            want ^= MUL[c, eng.vals[a]]
+        assert np.array_equal(eng.vals[atom], want)
 
 
 def test_order_start_rejects_certain_erasure_up_front():
@@ -333,7 +375,7 @@ def _holds(eng, k0: int, atom: int) -> bool:
         return True
     if atom < eng.npackets:
         return bool(eng.pmask[atom] >> k0 & 1)
-    ids, cs = eng.combos[atom]
+    ids, cs = terms_of(eng, atom)
     return all(_holds(eng, k0, a) for a in ids[cs != 0].tolist())
 
 
@@ -358,8 +400,9 @@ def test_single_want_pools_send_one_atom_per_active_member(K, F, q, seed,
             continue
         queue = {k: members[want[members] == 1 << (k - 1)].tolist()
                  for k in users_of(J)}
-        for atom in (a for a in eng.combos if eng.src[a] == J):
-            ids, cs = eng.combos[atom]
+        for atom in (a for a in range(eng.npackets, eng.next_atom)
+                     if eng.src[a] == J):
+            ids, cs = terms_of(eng, atom)
             active = [k for k in users_of(J) if queue[k]]
             assert ids.tolist() == [queue[k][0] for k in active]
             assert (cs == 1).all()
@@ -423,8 +466,9 @@ def check_multicast_pools(eng) -> int:
         rem = {a: int(want[a]) for a in members}
         r = {k: sum(rem[a] >> (k - 1) & 1 for a in members)
              for k in users_of(J)}
-        for atom in (a for a in eng.combos if eng.src[a] == J):
-            ids, cs = (x.tolist() for x in eng.combos[atom])
+        for atom in (a for a in range(eng.npackets, eng.next_atom)
+                     if eng.src[a] == J):
+            ids, cs = (x.tolist() for x in terms_of(eng, atom))
             active = mask_of([k for k in users_of(J) if r[k]])
             cut = {a: rem[a] & active for a in members}
             sets = set(cut.values()) - {0}
@@ -766,16 +810,17 @@ def test_fastsim_chunk_bounds_change_no_result(monkeypatch):
 
 
 def _engine_outputs(cfg, seed):
-    """The atom table, combinations, trace rows and result of a delivery."""
+    """The atom table with every combination's terms, the trace rows and
+    the result of a delivery."""
     trace = []
     eng = _delivered(cfg, decentralized_placement(cfg, seed),
                      Demand.identity(cfg.K), seed, payload_len=2, trace=trace)
     n = eng.next_atom
     table = [a[:n].copy() for a in (eng.vals, eng.heard, eng.src, eng.seat,
                                     eng.want)]
-    combos = {a: (ids.tolist(), cs.tolist())
-              for a, (ids, cs) in eng.combos.items()}
-    return table, combos, trace, delivery._finish(eng, None)
+    table += [eng.first[:n + 1].copy(), eng.terms[:eng.first[n]].copy(),
+              eng.tcoef[:eng.first[n]].copy()]
+    return table, trace, delivery._finish(eng, None)
 
 
 @pytest.mark.parametrize("q", [2, 256])
@@ -789,8 +834,8 @@ def test_slot_chunk_changes_no_result(q, monkeypatch):
     cases = [(cfg_of((0.5, 0.6, 0.4), (0.3, 0.2, 0.4), 400, q=q), 1),
              (replace(CLEANUP_CFG, field_order=q), CLEANUP_SEED)]
     want = [_engine_outputs(*case) for case in cases]
-    assert max(want[0][3].slots_per_subphase.values()) > delivery.SLOT_CHUNK
-    assert (want[1][3].cleanup_slots > 0) == (q == 2)
+    assert max(want[0][2].slots_per_subphase.values()) > delivery.SLOT_CHUNK
+    assert (want[1][2].cleanup_slots > 0) == (q == 2)
     for chunk, fold in ((1, 1), (7, 50), (5000, delivery.FOLD_CHUNK)):
         monkeypatch.setattr(delivery, "SLOT_CHUNK", chunk)
         monkeypatch.setattr(delivery, "FOLD_CHUNK", fold)
@@ -815,7 +860,7 @@ def global_solve(eng, k):
     pending, rows = [], []
 
     def row(atom, rhs):
-        ids, cs = eng.combos[atom]
+        ids, cs = terms_of(eng, atom)
         coefs = {}
         for a, c in zip(ids.tolist(), cs.tolist()):
             if c == 0:
@@ -917,7 +962,7 @@ def test_decoder_checks_a_redundant_row_that_still_holds_an_unknown():
     cols = atom_of[node_of == v]
     heard = np.nonzero(eng.heard & eng.src & 1 << k0)[0]
     atom = max(a for a in heard[eng.src[heard] == v].tolist()
-               if np.isin(eng.combos[a][0], cols).any())
+               if np.isin(terms_of(eng, a)[0], cols).any())
     eng.vals[atom] ^= 1
     with pytest.raises(InconsistentSystemError):
         eng.decode_user(k0 + 1)
@@ -930,7 +975,7 @@ def test_decoder_checks_a_row_left_with_no_unknown():
     eng = _delivered(cfg, decentralized_placement(cfg, 1), Demand.identity(3), 2)
     known = eng._known(0)
     member = np.nonzero(eng.heard & eng.src & 1)[0]
-    atom = next(a for a in member.tolist() if known[eng.combos[a][0]].all())
+    atom = next(a for a in member.tolist() if known[terms_of(eng, a)[0]].all())
     eng.vals[atom] ^= 1
     with pytest.raises(InconsistentSystemError):
         eng.decode_user(1)

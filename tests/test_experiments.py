@@ -27,6 +27,51 @@ def test_monte_carlo_parallel_matches_serial():
     assert a.per_trial == b.per_trial
 
 
+class RecordingExecutor:
+    """Stands in for `ProcessPoolExecutor`: records the pool size asked
+    for and runs the tasks in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, trials, cpus, size", [
+    (1000, 2, 8, 2), (1000, 10, 3, 3), (2, 10, 8, 2), (1, 10, 8, None),
+    (4, 1, 8, None), (4, 10, 1, None)])
+def test_monte_carlo_pool_is_bounded_by_trials_and_cpus(monkeypatch, jobs,
+                                                        trials, cpus, size):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    cfg = cfg_of((0.4, 0.4), (0.5, 0.5), F=200)
+    res = monte_carlo(cfg, trials=trials, seed=3, jobs=jobs)
+    assert RecordingExecutor.sizes == ([] if size is None else [size])
+    assert res.per_trial == monte_carlo(cfg, trials=trials, seed=3).per_trial
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_jobs_below_one_are_refused(monkeypatch, jobs):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    cfg = cfg_of((0.4, 0.4), (0.5, 0.5), F=200)
+    with pytest.raises(ValueError, match="jobs"):
+        monte_carlo(cfg, trials=2, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        SweepSpec(varying="mem", grid=[0.0], base=cfg, trials=2, jobs=jobs)
+    assert RecordingExecutor.sizes == []
+
+
 def test_monte_carlo_perfect_link_no_cache_has_zero_variance():
     cfg = cfg_of((0.0,) * 2, (0.0,) * 2, F=500)
     res = monte_carlo(cfg, trials=5, seed=1)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ebcache import placement
-from ebcache.model import SystemConfig
+from ebcache import analysis, delivery, fastsim, placement
+from ebcache.model import ConfigError, SystemConfig
 from ebcache.placement import (centralized_placement, decentralized_placement,
                                unknown_fraction)
 
@@ -142,3 +142,23 @@ def test_placement_json_shape():
     assert doc["scheme"] == "decentralized"
     assert len(doc["files"]) == 2 and len(doc["files"][0]) == 4
     assert all(isinstance(s, list) for s in doc["files"][0])
+
+
+@pytest.mark.parametrize("other", [
+    dict(K=3, N=3, delta=(0.3,) * 3, mem=(1.5,) * 3, file_sizes=(30,) * 3),
+    dict(K=2, N=3, delta=(0.3,) * 2, mem=(1.5,) * 2, file_sizes=(30,) * 3),
+    dict(K=2, N=2, delta=(0.3,) * 2, mem=(1.0,) * 2, file_sizes=(20, 20)),
+    dict(K=2, N=2, delta=(0.3,) * 2, mem=(1.0,) * 2, file_sizes=(30, 31)),
+], ids=["K", "files", "packets", "one-file"])
+def test_a_placement_of_other_files_is_refused(other):
+    # every consumer of a placement checks it against its config: a
+    # placement of 20-packet files once made a 30-packet config simulate
+    # 20 packets in length-only mode and fail with an IndexError in full
+    cfg = SystemConfig(K=2, N=2, delta=(0.3,) * 2, mem=(1.0,) * 2,
+                       file_sizes=(30, 30))
+    pm = decentralized_placement(SystemConfig(**other), 1)
+    for use in (fastsim.run_delivery_lengths, delivery.run_delivery,
+                lambda c, p: analysis.phase_plan(c, placement=p)):
+        with pytest.raises(ConfigError, match="placement does not fit"):
+            use(cfg, pm)
+    placement.validate_placement(cfg, decentralized_placement(cfg, 1))
