@@ -29,27 +29,37 @@ def main():
     ap.add_argument("--step", type=float, default=2.0)
     ap.add_argument("-o", "--out", default="-")
     args = ap.parse_args()
-
-    deltas = (tuple(float(x) for x in args.deltas.split(","))
-              if args.deltas else tuple(k / 5 for k in range(1, args.K + 1)))
-    cfg = SystemConfig(K=args.K, N=args.N, delta=deltas,
-                       mem=(0.0,) * args.K, file_sizes=(1,) * args.N)
+    try:
+        rows = table(args)
+    except ValueError as exc:       # a ConfigError is one
+        sys.exit(f"error: {exc}")
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["avg_mem", "T_symmetric", "T_optimized", "T_lower_bound",
                      "best_allocation"])
+    writer.writerows(rows)
+    if fh is not sys.stdout:
+        fh.close()
+
+
+def table(args):
+    """One row per memory budget, from 0 to N in steps of `--step`."""
+    deltas = (tuple(float(x) for x in args.deltas.split(","))
+              if args.deltas else tuple(k / 5 for k in range(1, args.K + 1)))
+    cfg = SystemConfig(K=args.K, N=args.N, delta=deltas,
+                       mem=(0.0,) * args.K, file_sizes=(1,) * args.N)
+    rows = []
     M = 0.0
     while M <= args.N + 1e-9:
         budget = args.K * M
         alloc = optimize_memory(cfg, budget=budget, step=args.step)
         sym = phase_plan(cfg.with_mem((M,) * args.K)).total
-        writer.writerow([M, f"{sym:.6f}", f"{alloc.objective:.6f}",
-                         f"{alloc.lower_bound:.6f}",
-                         "|".join(str(m) for m in alloc.mem)])
+        rows.append([M, f"{sym:.6f}", f"{alloc.objective:.6f}",
+                     f"{alloc.lower_bound:.6f}",
+                     "|".join(str(m) for m in alloc.mem)])
         M += args.step
-    if fh is not sys.stdout:
-        fh.close()
+    return rows
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from ebcache.model import SystemConfig
 def parse_grid(text):
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
+        if not step > 0:
+            raise ValueError("grid step must be > 0")
         out = []
         v = start
         while v <= stop + 1e-9:
@@ -47,18 +49,22 @@ def main():
                     "not depend on it")
     ap.add_argument("-o", "--out", default="-")
     args = ap.parse_args()
-    if args.jobs < 1:
-        sys.exit("error: --jobs must be >= 1")
+    try:
+        specs = []
+        for d in (float(x) for x in args.deltas.split(",")):
+            base = SystemConfig(K=args.K, N=args.N, delta=(d,) * args.K,
+                                mem=(0.0,) * args.K, file_sizes=(1,) * args.N)
+            specs.append((d, SweepSpec(
+                varying="mem", grid=parse_grid(args.grid), base=base,
+                trials=args.trials, F=args.F, seed=args.seed,
+                jobs=args.jobs)))
+    except ValueError as exc:       # a ConfigError is one
+        sys.exit(f"error: {exc}")
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["delta"] + SWEEP_COLUMNS)
-    for d in (float(x) for x in args.deltas.split(",")):
-        base = SystemConfig(K=args.K, N=args.N, delta=(d,) * args.K,
-                            mem=(0.0,) * args.K, file_sizes=(1,) * args.N)
-        spec = SweepSpec(varying="mem", grid=parse_grid(args.grid), base=base,
-                         trials=args.trials, F=args.F, seed=args.seed,
-                         jobs=args.jobs)
+    for d, spec in specs:
         for row in sweep(spec):
             writer.writerow([d] + [row.get(c, "") for c in SWEEP_COLUMNS])
     if fh is not sys.stdout:

@@ -42,19 +42,19 @@ the slots it used.  A pool combines only atoms seated before it started,
 so its combinations enter the table when it ends, in one pass, their
 payloads from one `gf_dot` call, one segment each.
 
-Decoding eliminates each user's banked equations pool by pool.  A pool
-only ever combines atoms (packets and promoted combinations) seeded into
-it, so the equations fall into one block per pool, eliminated in
-dependency order with solved values folded into later right-hand sides;
-pools closed in a cycle are merged into one block.  A user's rows are
-built in one CSR layout (row node, columns, coefficients, right-hand
-side), one wave at a time, and each block is filled with one
-scatter.  `gf256.rref`, the only elimination routine, brings every
-block to reduced row echelon form.  Rank-deficient blocks and everything
-downstream of them form one residual system, reduced the same way.
-Only dense combinations draw coefficients, so only they can fall short
-of rank; those rare shortfalls are repaired by a feedback cleanup round,
-which stacks each row it hears under the residual and reduces again.
+Decoding solves each user's banked equations by peeling.  A user's rows
+are built in one sparse layout (each entry's row, column, coefficient,
+and one right-hand side per row), one wave at a time.  Every receiver
+meets one unknown per combination, so the peel solves nearly all of
+them: each wave solves the rows left with one unknown and folds the
+values into every row that holds them.  Every row that fixed no unknown
+then goes to one `gf256.rref`, the only elimination routine, over the
+unknowns still unsolved: redundant rows, which must read 0 = 0, and any
+cycle or dense combination the peel could not open.  That reduced matrix
+is the residual system.  Only dense combinations draw coefficients, so
+only they can fall short of rank; those rare shortfalls are repaired by a
+feedback cleanup round, which stacks each row it hears under the
+residual and reduces again.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf256 import (FOLD_CHUNK, InconsistentSystemError, gf_dot, gf_fold,
-                     rref)
+from .gf256 import FOLD_CHUNK, INV, MUL, gf_dot, gf_fold, rref
 from .model import (MAX_K, SUPPORTED_FIELD_ORDERS, Demand, SystemConfig,
                     demand_for, mask_of, subsets_ascending, users_of)
 from .placement import PlacementMap, validate_placement
@@ -74,7 +73,6 @@ from .placement import PlacementMap, validate_placement
 CLEANUP_BUDGET_PER_USER = 64
 SLOT_CHUNK = 256        # channel states per look of the slot loop
 _NO_I64 = np.empty(0, dtype=np.int64)
-_NO_I32 = np.empty(0, dtype=np.int32)
 _NO_U8 = np.empty(0, dtype=np.uint8)
 _ONES = np.ones(MAX_K, dtype=np.uint8)  # an XOR's coefficients
 _ONES.flags.writeable = False
@@ -185,30 +183,16 @@ class SimResult:
 
 
 @dataclass
-class _Rows:
-    """One user's equations in CSR layout: the node of each row, entry
-    offsets per row, each entry's column and coefficient, and one
-    right-hand side per row."""
-
-    node: np.ndarray
-    ptr: np.ndarray
-    col: np.ndarray
-    coef: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass
 class _Residual:
-    """What block elimination left of one user's system: the reduced
-    matrix over the unknowns no block could solve, its pivots and the atom
-    of each column, beside the packets the blocks did solve."""
+    """What peeling left of one user's system: the reduced matrix over
+    the unknowns the peel could not solve, its pivots and the atom of each
+    column, beside the packets the peel did solve."""
 
     m: np.ndarray
     pivots: dict[int, int]
     col_of: dict[int, int]
     solved: dict[int, np.ndarray]
     need: list[int]      # demanded packets the user neither cached nor heard
-    merged: int          # blocks that join pools closed in a cycle
 
 
 class _Engine:
@@ -232,7 +216,6 @@ class _Engine:
         self.q = q
         self.L = payload_len
         self.trace = trace
-        self.full = (1 << K) - 1
         self.npackets = 0
         # the atom table, packets first, then combinations as sent: value,
         # receiver set of the carrying slot (0 if none), the pool it left
@@ -434,8 +417,6 @@ class _Engine:
         combinations and about FOLD_CHUNK products a call.  They combine
         only atoms seated in the pool before it started, none of them its
         own."""
-        if not sent:
-            return
         S, moved, ids, coefs = zip(*sent)
         new = self._reserve(len(sent))
         S, moved = np.array(S), np.array(moved)
@@ -467,50 +448,38 @@ class _Engine:
         return known
 
     def _user_system(self, k0: int, known: np.ndarray):
-        """User k0 + 1's equations as CSR rows (`_Rows`), with the atom and
-        the node of the dependency graph of every column.
+        """User k0 + 1's equations: each entry's row, column and
+        coefficient, rows ascending, one right-hand side per row, and the
+        atom of every column.
 
-        A pool's node holds the combinations the user heard there and
-        the definitions of those promoted out of it that the user needs;
-        its columns are the atoms the user needs in that pool.  A case-B
-        atom, a promoted combination the user neither heard nor needs,
-        is a node of its own, holding its definition and its column.
-        Pool nodes are pool masks, case-B nodes `full + 1 + column`.
-
-        Rows are sorted by node, a pool node's rows in the order they
-        were sent, so the rows the user heard after it stopped needing
-        anything there come last.  Each wave is a few vectorized passes:
-        gather the rows' terms, fold the known atoms into the right-hand
-        sides, give fresh case-B atoms columns, and the next wave holds
-        their definitions, until no fresh atom is met.
+        The rows are the combinations the user heard in its own pools and
+        the definitions `atom + combination = 0` of the combinations it
+        needs; a promoted combination it neither heard nor needs (case B)
+        gets a column and a definition too.  Each wave is a few vectorized
+        passes: gather the rows' terms, fold the known atoms into the
+        right-hand sides, give fresh case-B atoms columns, and the next
+        wave holds their definitions, until no fresh atom is met.
         """
         bit = 1 << k0
         L = self.L
         n = self.next_atom
-        # the pool where the user needs each atom; a raw packet promoted
-        # out of {k} keeps its id, so its last seat is the one that counts
-        home = np.where(self.want[:n] & bit, self.seat[:n], 0)
-        home[known] = 0
-        needed = np.nonzero(home)[0]
-        needed = needed[np.argsort(home[needed], kind="stable")]
+        # the atoms the user needs and does not hold; `want` follows an
+        # atom to its last seat
+        needed = np.flatnonzero((self.want[:n] & bit != 0) & ~known)
         col = np.full(n, -1, dtype=np.int32)
         col[needed] = np.arange(len(needed))
         ncols = len(needed)
 
         # wave 0: the combinations heard in the user's pools, whose value
-        # is the right-hand side, and the definitions `atom + combination
-        # = 0` of the combinations it needs, by node and then by atom
-        member = np.nonzero(self.heard[:n] & self.src[:n] & bit)[0]
-        atoms = np.concatenate([member, needed[needed >= self.npackets]])
-        src = self.src[atoms]
-        order = np.lexsort((atoms, src))
-        atoms, node = atoms[order], src[order]
-        nodes, rhss, counts, ents = [], [], [], []
+        # is the right-hand side, and the definitions of those it needs
+        atoms = np.concatenate([np.nonzero(self.heard[:n] & self.src[:n]
+                                           & bit)[0],
+                                needed[needed >= self.npackets]])
+        rhss, ents, base = [], [], 0
         while True:
             own = col[atoms] >= 0               # the definitions
             rhs = np.zeros((len(atoms), L), dtype=np.uint8)
             rhs[~own] = self.vals[atoms[~own]]
-            nodes.append(node)
             rhss.append(rhs)
             # every row's terms, one CSR gather
             lo = self.first[atoms]
@@ -531,113 +500,77 @@ class _Engine:
             cs = np.concatenate([cs, np.ones(len(own), np.uint8)])
             row = np.concatenate([row, own])
             order = np.argsort(row, kind="stable")
-            ents.append((col[ids][order], cs[order]))
-            counts.append(np.bincount(row, minlength=len(atoms)))
+            ents.append((row[order] + base, col[ids][order], cs[order]))
+            # next wave: the definitions of the fresh case-B atoms
+            base += len(atoms)
             atoms = fresh
             if not len(atoms):
                 break
-            # next wave: the definitions of the fresh case-B atoms
-            node = self.full + 1 + col[atoms].astype(np.int64)
-        node = np.concatenate(nodes)
-        c, cs = (np.concatenate(x) for x in zip(*ents))
-        ptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
         atom_of = np.empty(ncols, dtype=np.int64)
         atom_of[col[col >= 0]] = np.nonzero(col >= 0)[0]
-        node_of = np.concatenate([home[needed], self.full + 1
-                                  + np.arange(len(needed), ncols)])
-        return (_Rows(node, ptr, c, cs, np.concatenate(rhss)),
-                atom_of, node_of)
+        return (*map(np.concatenate, zip(*ents)), np.concatenate(rhss),
+                atom_of)
 
     def decode_user(self, k: int):
-        """Solve user k's banked equations block by block.
+        """Solve user k's banked equations by peeling, then eliminate
+        what is left.
 
-        A pool only combines atoms seeded into it, so the equations fall
-        into blocks, one per node of `_user_system`.  Blocks are
-        eliminated in dependency order, nodes closed in a cycle merged
-        into one block, and solved values are folded into the right-hand
-        sides of later blocks by segment XOR; a row left with no unknown
-        must read 0 = 0.  Each block is filled with one scatter, its rows
-        node by node in send order, and brought to reduced row echelon
-        form by `rref`, whose final check catches a redundant row that
-        reads 0 = nonzero.  Since every receiver meets one unknown per
-        combination, nearly every block is triangular in send order.  A
-        rank-deficient block and every block downstream of it go into one
-        residual system, reduced the same way.
+        Every receiver meets one unknown per combination, so nearly every
+        row is solved by substitution, in waves: a row with one unknown
+        left fixes it (one row per unknown becomes its pivot), and the
+        solved values fold into every other row that holds them.  When no
+        row has a single unknown left, every row that is no pivot goes to
+        one `rref` over the unknowns still unsolved: the redundant rows,
+        which must read 0 = 0, and any cycle or dense combination the
+        peel could not open.  That reduced matrix is the residual that
+        `cleanup` continues, and `rref`'s final check is the one that
+        catches a row reading 0 = nonzero.  This is peeling then
+        inactivation, as in the decoders of LT and Raptor codes.
 
         Returns (solved {packet id: value row}, unresolved demanded ids,
         the residual state for cleanup continuation).
         """
         k0 = k - 1
-        L = self.L
         known = self._known(k0)
-        rows, atom_of, node_of = self._user_system(k0, known)
-        ncols = len(atom_of)
-        # rows and columns are both sorted by node
-        nodes = np.unique(np.concatenate([rows.node, node_of]))
-        cnode = np.searchsorted(nodes, node_of).astype(np.int32)
-        col_lo = np.searchsorted(node_of, nodes).tolist()
-        col_hi = np.searchsorted(node_of, nodes, side="right").tolist()
-        row_lo = np.searchsorted(rows.node, nodes).tolist()
-        row_hi = np.searchsorted(rows.node, nodes, side="right").tolist()
-        index = {v: i for i, v in enumerate(nodes.tolist())}
-        # node -> the nodes its rows reach
-        deps: dict[int, set[int]] = {}
-        for v, i in index.items():
-            reach = np.bincount(cnode[rows.col[rows.ptr[row_lo[i]]:
-                                               rows.ptr[row_hi[i]]]],
-                                minlength=len(nodes))
-            deps[v] = set(nodes[reach.nonzero()[0]].tolist())
-
-        status = np.zeros(ncols, dtype=np.int8)   # 1 solved, 2 residual
-        sol = np.zeros((ncols, L), dtype=np.uint8)
-        loc = np.empty(ncols, dtype=np.int32)
-        residual: list = []
-        merged = 0
-        for block in _components(deps):
-            merged += len(block) > 1
-            idx = [index[v] for v in block]
-            bcols = np.concatenate([np.arange(col_lo[i], col_hi[i])
-                                    for i in idx])
-            n = len(bcols)
-            pos, c, cs, rhs = _gather(rows, [(row_lo[i], row_hi[i])
-                                             for i in idx])
-            st = status[c]
-            done = st == 1
-            if done.any():
-                gf_fold(rhs, pos[done], cs[done], sol, c[done])
-                live = ~done
-                pos, c, cs, st = pos[live], c[live], cs[live], st[live]
-            has = np.zeros(len(rhs), dtype=bool)
-            has[pos] = True
-            if rhs[~has].any():
-                raise InconsistentSystemError("contradictory equation")
-            pos = np.cumsum(has, dtype=np.int32)[pos] - 1
-            rhs = rhs[has]
-            if not (st == 2).any():
-                if n == 0:
-                    continue
-                m = _fill(pos, c, cs, rhs, bcols, loc)
-                pivots = rref(m, n)
-                if len(pivots) == n:
-                    pc = np.fromiter(pivots.keys(), np.int64, n)
-                    pr = np.fromiter(pivots.values(), np.int64, n)
-                    sol[bcols[pc]] = m[pr, n:]
-                    status[bcols] = 1
-                    continue
-            status[bcols] = 2
-            # every column these rows still hold is now a residual one
-            residual.append((pos, c, cs, rhs))
-
-        rcols = np.nonzero(status == 2)[0]
-        m = _fill(*_stack(residual, L), rcols, loc)
-        pivots = rref(m, len(rcols)) if len(rcols) else {}
-        done = np.nonzero((status == 1) & (atom_of < self.npackets))[0]
+        # the entries still unsolved: row, column, coefficient
+        row, c, cs, rhs, atom_of = self._user_system(k0, known)
+        ncols, nrows = len(atom_of), len(rhs)
+        sol = np.zeros((ncols, self.L), dtype=np.uint8)
+        solved = np.zeros(ncols, dtype=bool)
+        pivot = np.zeros(nrows, dtype=bool)
+        while True:
+            one = np.flatnonzero((np.bincount(row, minlength=nrows) == 1)[row])
+            if not one.size:
+                break
+            # the first row with one unknown left is that unknown's pivot
+            cols, first = np.unique(c[one], return_index=True)
+            e = one[first]
+            val = rhs[row[e]]
+            if (cs[e] != 1).any():
+                val = MUL[INV[cs[e]][:, None], val]
+            sol[cols] = val
+            solved[cols] = True
+            pivot[row[e]] = True
+            done = solved[c]
+            fold = done & ~pivot[row]
+            gf_fold(rhs, row[fold], cs[fold], sol, c[fold])
+            row, c, cs = row[~done], c[~done], cs[~done]
+        # every row that is no pivot, over the unknowns still unsolved
+        rest = ~pivot
+        rcols = np.flatnonzero(~solved)
+        loc = np.cumsum(~solved) - 1
+        m = np.zeros((np.count_nonzero(rest), len(rcols) + self.L),
+                     dtype=np.uint8)
+        m[(np.cumsum(rest) - 1)[row], loc[c]] = cs
+        m[:, len(rcols):] = rhs[rest]
+        pivots = rref(m, len(rcols))
+        done = np.flatnonzero(solved & (atom_of < self.npackets))
         md = self.must_decode[k0]
         state = _Residual(
             m=m, pivots=pivots,
             col_of=dict(zip(atom_of[rcols].tolist(), range(len(rcols)))),
             solved=dict(zip(atom_of[done].tolist(), sol[done])),
-            need=md[~known[md]].tolist(), merged=merged)
+            need=md[~known[md]].tolist())
         solved, unresolved = self._extract(state)
         return solved, unresolved, state
 
@@ -733,85 +666,6 @@ def _move_group(heads: dict[int, list[int]], w: int, new: int) -> None:
         group += heads.get(new, [])
         heapq.heapify(group)
         heads[new] = group
-
-
-def _gather(rows: _Rows, ranges: list[tuple[int, int]]):
-    """The entries of the row ranges, in order, as `_stack` gives them."""
-    return _stack([(np.repeat(np.arange(b - a, dtype=np.int32),
-                              np.diff(rows.ptr[a:b + 1])),
-                    rows.col[rows.ptr[a]:rows.ptr[b]],
-                    rows.coef[rows.ptr[a]:rows.ptr[b]], rows.rhs[a:b])
-                   for a, b in ranges], rows.rhs.shape[1])
-
-
-def _stack(parts: list, L: int):
-    """Groups of rows (entry rows, columns, coefficients, right-hand
-    sides) as one, rows numbered on in order: each entry's row, column
-    and coefficient, and the right-hand sides."""
-    off = np.cumsum([0] + [len(p[3]) for p in parts]).tolist()
-    return (np.concatenate([_NO_I32] + [p[0] + o
-                                        for p, o in zip(parts, off)]),
-            np.concatenate([_NO_I32] + [p[1] for p in parts]),
-            np.concatenate([_NO_U8] + [p[2] for p in parts]),
-            np.concatenate([np.empty((0, L), np.uint8)]
-                           + [p[3] for p in parts]))
-
-
-def _fill(pos: np.ndarray, c: np.ndarray, cs: np.ndarray, rhs: np.ndarray,
-          cols: np.ndarray, loc: np.ndarray) -> np.ndarray:
-    """Dense (len(rhs), len(cols) + L) matrix over `cols` with coefficient
-    cs[i] at row pos[i], column c[i], filled by one scatter; `loc` is
-    scratch indexed by global column."""
-    n = len(cols)
-    loc[cols] = np.arange(n)
-    m = np.zeros((len(rhs), n + rhs.shape[1]), dtype=np.uint8)
-    m[pos, loc[c]] = cs
-    m[:, n:] = rhs
-    return m
-
-
-def _components(deps: dict[int, set[int]]) -> list[list[int]]:
-    """Strongly connected components of the graph `deps` (node -> the
-    nodes it depends on), each listed after every component it depends
-    on (Tarjan's algorithm, iterative)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    out: list[list[int]] = []
-    for root in deps:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(deps[root]))]
-        while work:
-            v, succ = work[-1]
-            for w in succ:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(deps[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(comp)
-    return out
 
 
 def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = None,

@@ -7,9 +7,9 @@ is fast enough for desk-scale decoding.
 
 `rref` is the one elimination routine, and it has one mode: reduced row
 echelon form, every pivot column cleared above and below its pivot, and
-one final check that no row reads 0 = nonzero.  Decode blocks, the
-residual system and cleanup all go through it; a system that grows by a
-row is stacked and reduced again.  Row updates are row gathers: the
+one final check that no row reads 0 = nonzero.  What the decoder's peel
+leaves of a user's system and each cleanup step go through it; a system
+that grows by a row is stacked and reduced again.  Row updates are row gathers: the
 256-byte rows of MUL for the coefficients, indexed by the pivot row
 (`MUL[coefs][:, pivot_row]`), over a plain slice of the rows when every
 coefficient is nonzero and over the nonzero rows otherwise.  `gf_dot`

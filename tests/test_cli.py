@@ -216,6 +216,27 @@ def test_module_runs_as_a_program_with_its_exit_codes():
     assert not usage.stdout
 
 
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts")
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    ("memory_sweep.py", ["--K", "0"], "invalid config: K"),
+    ("memory_sweep.py", ["--trials", "0"], "trials must be >= 1"),
+    ("memory_sweep.py", ["--grid", "0:6:0"], "grid step must be > 0"),
+    ("allocate_memory.py", ["--step", "0"], "step must be positive"),
+])
+def test_scripts_answer_a_bad_argument_with_one_error_line(script, argv,
+                                                           message):
+    # the way `ebcache` does: exit 1, one `error:` line, no traceback and
+    # no partial table
+    out = subprocess.run([sys.executable, os.path.join(SCRIPTS, script),
+                          *argv], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr == f"error: {message}\n"
+    assert not out.stdout
+
+
 def test_missing_config_file_is_exit_1(capsys):
     assert main(["region", "--config", "/nonexistent.json"]) == 1
 

@@ -195,6 +195,22 @@ def test_cleanup_budget_zero_is_a_hard_failure():
     assert err.value.unresolved
 
 
+@pytest.mark.parametrize("q, unresolved, cleanup_slots",
+                         [(2, [[9], [], []], 4), (256, [[], [], []], 0)])
+def test_cleanup_starts_from_the_same_unresolved_packets(q, unresolved,
+                                                         cleanup_slots):
+    # which unknowns a user's system determines does not depend on the
+    # order of elimination, so the packets decoding hands to cleanup, and
+    # the cleanup slots that draw coefficients for them, are pinned
+    cfg = replace(CLEANUP_CFG, field_order=q)
+    pm = decentralized_placement(cfg, CLEANUP_SEED)
+    eng = _delivered(cfg, pm, Demand.identity(3), CLEANUP_SEED)
+    assert [eng.decode_user(k)[1] for k in (1, 2, 3)] == unresolved
+    res = run_delivery(cfg, pm, seed=CLEANUP_SEED)
+    assert res.cleanup_slots == cleanup_slots
+    assert res.decode_ok == [True] * 3
+
+
 def test_typical_runs_need_no_cleanup():
     cfg = cfg_of((0.3,) * 2, (0.5,) * 2, 300)
     total = cleanup = 0
@@ -845,7 +861,7 @@ def test_slot_chunk_changes_no_result(q, monkeypatch):
             assert rest == rest0
 
 
-# -- block decoder against one global elimination -----------------------------
+# -- peeling decoder against one global elimination ---------------------------
 
 
 def global_solve(eng, k):
@@ -898,7 +914,8 @@ def global_solve(eng, k):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 80), st.sampled_from([2, 256]),
        st.sampled_from([1, 3]), st.integers(0, 10_000), st.data())
-def test_block_decoder_matches_one_global_elimination(K, F, q, L, seed, data):
+def test_peeling_decoder_matches_one_global_elimination(K, F, q, L, seed,
+                                                        data):
     delta = data.draw(st.lists(st.floats(0.0, 0.7), min_size=K, max_size=K))
     p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
     cfg = cfg_of(delta, p, F, q=q)
@@ -922,47 +939,47 @@ def test_block_decoder_matches_one_global_elimination(K, F, q, L, seed, data):
         assert set(unresolved).isdisjoint(want)
 
 
-def test_block_decoder_merges_pools_closed_in_a_cycle():
+def test_peeling_decoder_solves_pools_closed_in_a_cycle():
     # user 4 meets a promoted combination it neither heard nor needs whose
-    # pool of origin depends on the pool it reached: one merged block.
-    # The instance is the first placement seed s in 0..59, with delivery
-    # seed 100 + s, whose decode of user 4 merges a block.  Such cycles
-    # need a pool atom that several members want, which takes more
-    # erasures than with dense combinations: at δ = 0.2..0.5 no seed in
-    # 0..299 has one.
+    # pool of origin depends on the pool it reached, so no order of its
+    # pools solves them one after another.  The instance is the first
+    # placement seed s in 0..59, with delivery seed 100 + s, where user 4's
+    # pools close such a cycle.  Such cycles need a pool atom that several
+    # members want, which takes more erasures than with dense
+    # combinations: at δ = 0.2..0.5 no seed in 0..299 has one.
     cfg = cfg_of((0.4, 0.5, 0.6, 0.7), (0.5, 0.4, 0.3, 0.6), 40)
     pm = decentralized_placement(cfg, 28)
     eng = _delivered(cfg, pm, Demand.identity(4), 128)
-    solved, unresolved, state = eng.decode_user(4)
-    assert state.merged >= 1
+    solved, unresolved, _ = eng.decode_user(4)
     assert not unresolved
-    assert set(solved) == set(global_solve(eng, 4))
+    want = global_solve(eng, 4)
+    assert set(solved) == set(want)
+    assert all(np.array_equal(solved[pid], want[pid]) for pid in want)
     res = run_delivery(cfg, pm, seed=128)
     assert res.decode_ok == [True] * 4
 
 
 
 def test_decoder_checks_a_redundant_row_that_still_holds_an_unknown():
-    # a node whose rows holding one of its own unknowns outnumber its
-    # columns has a redundant row; with the value of the last such
-    # combination the user heard corrupted, elimination leaves a row
-    # reading 0 = nonzero, which must raise.  The instance is the first
-    # of a scan over s = 0..299: K = 3 + s % 2, δ ~ U(0.3, 0.8) and
-    # p ~ U(0, 1) drawn from default_rng(s) and rounded to 2 places,
+    # a pool where the combinations a user heard that hold one of the
+    # atoms it needs there outnumber those atoms has a redundant row; with
+    # the value of the last such combination corrupted, elimination
+    # leaves a row reading 0 = nonzero, which must raise.  The instance is
+    # the first of a scan over s = 0..299: K = 3 + s % 2, δ ~ U(0.3, 0.8)
+    # and p ~ U(0, 1) drawn from default_rng(s) and rounded to 2 places,
     # F = 30, placement seed s and delivery seed s + 1.  The scan met 155
-    # such nodes; the first is s = 2, user 2, pool {1, 2, 3}.
+    # such pools; the first is s = 2, user 2, pool {1, 2, 3}.
     cfg = cfg_of((0.43, 0.45, 0.71), (0.09, 0.6, 0.73), 30)
     eng = _delivered(cfg, decentralized_placement(cfg, 2), Demand.identity(3), 3)
     k0, v = 1, 7
-    rows, atom_of, node_of = eng._user_system(k0, eng._known(k0))
-    entry_row = np.repeat(np.arange(len(rows.node)), np.diff(rows.ptr))
-    own = node_of[rows.col] == rows.node[entry_row]
-    holding = np.unique(entry_row[own])
-    assert (rows.node[holding] == v).sum() > (node_of == v).sum()
-    cols = atom_of[node_of == v]
+    n = eng.next_atom
+    cols = np.flatnonzero((eng.want[:n] >> k0 & 1 == 1) & (eng.seat[:n] == v)
+                          & ~eng._known(k0))
     heard = np.nonzero(eng.heard & eng.src & 1 << k0)[0]
-    atom = max(a for a in heard[eng.src[heard] == v].tolist()
-               if np.isin(terms_of(eng, a)[0], cols).any())
+    holding = [a for a in heard[eng.src[heard] == v].tolist()
+               if np.isin(terms_of(eng, a)[0], cols).any()]
+    assert len(holding) > len(cols)
+    atom = max(holding)
     eng.vals[atom] ^= 1
     with pytest.raises(InconsistentSystemError):
         eng.decode_user(k0 + 1)
