@@ -5,8 +5,23 @@ centralized baselines, and the MISO DoF duals.
 
 A region weight w(S) depends only on the set S, so each maximum over
 user orders of sum_k w(pi_1..pi_k) x_{pi_k} is a longest chain in the
-subset lattice, O(K 2^K) for any K; only `region_inequalities`, which
-lists all K! rows, refuses K > 8.
+subset lattice, O(K 2^K) for any K (`_lattice`); only
+`region_inequalities`, which lists all K! rows, refuses K > 8.
+
+The recursive plan (`_plan_tables`) needs, for every user k and
+sub-phase J, a sum over the subsets of J - k; because the erasure
+factors are products, that sum is a subset sum, read from one zeta
+transform per cardinality (a ranked zeta transform, Bjorklund et al.,
+"Fourier meets Moebius", STOC 2007): O(K^3 2^K) instead of the 3^K of
+a loop over subset pairs.  Both run on numpy arrays indexed by user-set
+mask with a leading batch axis: `phase_plan` and `ttot_closed_form` are
+batches of one, and `allocation_lengths` runs a block of cache
+allocations at once.  At K = 16 (`model.MAX_K`) a plan takes about
+0.2-0.3 s and 8 MB per (K, 2^K) array; at K <= 6 a call costs about as
+much as the loop it replaced (2-vCPU x86-64 host, numpy 2.4).
+`identity_suite` checks the plan against the alternating sums of region
+weights, one Moebius transform per instance, and against the aggregate
+identity, one zeta transform of the plan.
 
 Everything here is pure float arithmetic; the packet-level simulator in
 `delivery` provides the independent stochastic cross-check.
@@ -17,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, inf, isfinite
+from math import comb, inf
 from typing import Sequence
 
 import numpy as np
@@ -30,68 +45,204 @@ MAX_PERMUTATION_K = 8
 FEASIBILITY_TOL = 1e-9    # slack on the largest inequality's left-hand side
 DOMINANCE_TOL = 1e-12     # slack of permutation_dominance over the identity
 IDENTITY_TOL = 1e-9       # largest residual IdentityReport.ok accepts
-
-
-def _subset_products(out: Sequence[float], into: Sequence[float],
-                     start: float = 1.0) -> list[float]:
-    """t[m] = start * prod_i (into[i] if bit i of m is set else out[i]) for
-    every mask m < 2^K, multiplied in ascending i, so each entry equals
-    the product a loop over the bits takes.  Plain floats: at small K they
-    beat numpy's per-call overhead, and at any K the O(2^K) products cost
-    less than the O(K 2^K) pass that reads them."""
-    t = [start]
-    for a, b in zip(out, into):
-        t = [v * a for v in t] + [v * b for v in t]
-    return t
-
-
-def _weights(p: Sequence[float], delta: Sequence[float]) -> list[float]:
-    """Region weight w(m) = prod_{i in m}(1-p_i) / (1 - prod_{i in m} delta_i)
-    of every mask m < 2^K, 0.0 on the empty mask; SystemConfig keeps
-    every delta_i below 1."""
-    ones = [1.0] * len(delta)
-    keep = _subset_products(ones, [1.0 - x for x in p])
-    erase = _subset_products(ones, delta)
-    return [0.0] + [k / (1.0 - e) for k, e in zip(keep[1:], erase[1:])]
+BATCH_CELLS = 1 << 15     # plan cells a batched call is given at a time
 
 
 @lru_cache(maxsize=None)
-def _user_tuples(K: int) -> tuple[tuple[int, ...], ...]:
-    """users_of(m) for every mask m < 2^K."""
-    return tuple(users_of(m) for m in range(1 << K))
+def _bits(K: int) -> np.ndarray:
+    """bits[m, i]: whether bit i of mask m < 2^K is set."""
+    return (np.arange(1 << K)[:, None] >> np.arange(K)) & 1 == 1
 
 
-def _lattice_max(w: Sequence[float], x: Sequence[float]
-                 ) -> tuple[float, tuple[int, ...]]:
-    """max over orders pi of sum_k w[pi_1..pi_k] * x[pi_k] and a maximizing
-    order (1-based), as the longest chain in the subset lattice:
-    best(S) = max_{i in S} best(S - i) + w(S) * x_i.  Rounding is monotone,
-    so the value equals the largest of the K! float sums.  Ties put the
-    larger index last, so fully tied orders come out ascending.  A NaN
-    would fail every comparison and leave no order to read back, so
-    non-finite inputs are refused."""
-    K = len(w).bit_length() - 1
-    if len(x) != K:
-        raise ValueError(f"need one value per user: {len(x)} for K = {K}")
-    if not (all(map(isfinite, x)) and all(map(isfinite, w))):
+def _subset_products(out, into) -> np.ndarray:
+    """t[..., m] = prod_i (into[..., i] if bit i of m is set else
+    out[..., i]) for every mask m < 2^K, over any leading batch axes of
+    `into` (`out` broadcasts to its shape), multiplied in ascending i, so
+    each entry equals the product a loop over the bits takes."""
+    into = np.asarray(into, dtype=float)
+    out = np.asarray(out, dtype=float)
+    if out.ndim:
+        out = out[..., None, :]
+    factors = np.where(_bits(into.shape[-1]), into[..., None, :], out)
+    return np.multiply.reduce(factors, axis=-1)
+
+
+def _weights(p, delta) -> np.ndarray:
+    """Region weight w(m) = prod_{i in m}(1-p_i) / (1 - prod_{i in m} delta_i)
+    of every mask m < 2^K, over any leading batch axes, 0.0 on the empty
+    mask; SystemConfig keeps every delta_i below 1."""
+    p = np.asarray(p, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    w = _subset_products(1.0, 1.0 - p)
+    erase = _subset_products(1.0, delta)
+    w[..., 1:] /= 1.0 - erase[..., 1:]
+    w[..., 0] = 0.0
+    return w
+
+
+def _popcount(masks: np.ndarray, K: int) -> np.ndarray:
+    return sum((masks >> i) & 1 for i in range(K))
+
+
+def _bit_halves(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each bit i of the mask that indexes the last axis of the
+    contiguous array `a`: the views of its entries with bit i set and of
+    the same entries without it.  Adding the second into the first for
+    every i is the zeta transform (sum over subsets), subtracting it the
+    Moebius transform."""
+    K = a.shape[-1].bit_length() - 1
+    halves = []
+    for i in range(K):
+        v = a.reshape(-1, 2, 1 << i)
+        halves.append((v[:, 1], v[:, 0]))
+    return halves
+
+
+def _zeta(a) -> np.ndarray:
+    """z[..., S] = sum over subsets T of S of a[..., T]."""
+    z = np.array(a, dtype=float)
+    for hi, lo in _bit_halves(z):
+        hi += lo
+    return z
+
+
+def _mobius(a) -> np.ndarray:
+    """m[..., S] = sum over subsets T of S of (-1)^|S - T| a[..., T], the
+    inverse of `_zeta`."""
+    m = np.array(a, dtype=float)
+    for hi, lo in _bit_halves(m):
+        hi -= lo
+    return m
+
+
+@lru_cache(maxsize=None)
+def _cells(K: int) -> tuple[np.ndarray, ...]:
+    """The cells (k, J) of a K-user plan with user k in sub-phase J, in
+    processing order (J as in `subsets_ascending`, then k ascending), so
+    each cardinality is one run, as six arrays: the flat index
+    (k-1) * 2^K + J of each cell; k-1; the flat index (k-1) * 2^(K-1) + r,
+    r being J - k with bit k-1 squeezed out, where k's u-value sits; the
+    masks J - k and (users outside J) + k; and the offset where each
+    cardinality 1..K starts, K + 1 entries."""
+    n = 1 << K
+    masks = np.array(subsets_ascending(K))
+    row, k0 = np.nonzero(_bits(K)[masks])
+    J = masks[row]
+    bit = 1 << k0
+    rest = J & ~bit
+    squeezed = (rest & (bit - 1)) | (rest >> (k0 + 1) << k0)
+    comp = ((n - 1) & ~J) | bit
+    bounds = np.searchsorted(_popcount(J, K), np.arange(1, K + 2))
+    return k0 * n + J, k0, k0 * (n >> 1) + squeezed, rest, comp, bounds
+
+
+def _plan_tables(delta: np.ndarray, n0: np.ndarray) -> np.ndarray:
+    """t[b, k-1, J]: the length user k needs in sub-phase J, 0.0 where k is
+    not in J, for a batch of channels delta (B or 1, K) and own-file
+    needs n0 (B, cells), n0[b, x] for cell x = (k, J) of `_cells` being
+    the packets user k lacks that exactly the users in J - k cache.
+
+    User k's need in J is that n0 plus, for every earlier sub-phase
+    s + k (s a proper subset of J - k), t[k, s + k] * dd *
+    passed[J - k - s], with dd = delta_k * prod_{j not in J} delta_j and
+    passed a product of (1 - delta_j); t[k, J] = need / (1 - dd).
+    `passed` is a product, so the inner sum is passed[J - k] times the
+    sum of u[k, s] = t[k, s + k] / passed[s] over the proper subsets s of
+    J - k, read from one zeta transform, over the other K - 1 users, of
+    the u-values of the cardinalities already done.  Every term is
+    positive.  O(K^3 2^K) per batch row."""
+    K = delta.shape[-1]
+    n = 1 << K
+    B = n0.shape[0]
+    cell, _, own, rest, comp, bounds = _cells(K)
+    erase, passed = _subset_products(1.0, np.stack((delta, 1.0 - delta)))
+    dd = erase[:, comp]
+    pr = passed[:, rest]
+    ddpr = dd * pr
+    held = 1.0 - dd
+    t = np.zeros((B, K * n))
+    u = np.zeros((B, K * n >> 1))
+    z = np.empty_like(u)
+    halves = _bit_halves(z.reshape(B, K, n >> 1))
+    for c in range(1, K + 1):
+        lo, hi = bounds[c - 1], bounds[c]
+        need_c = n0[:, lo:hi]
+        if c > 1:
+            np.copyto(z, u)
+            for h, l in halves:
+                h += l
+            need_c = need_c + ddpr[:, lo:hi] * z[:, own[lo:hi]]
+        t_c = need_c / held[:, lo:hi]
+        t[:, cell[lo:hi]] = t_c
+        if c < K:
+            u[:, own[lo:hi]] = t_c / pr[:, lo:hi]
+    return t.reshape(B, K, n)
+
+
+def _expected_need(p: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """n0 (B, cells) of decentralized placement in expectation: user k
+    lacks F_k * prod_{i in c} p_i * prod_{i not in c}(1 - p_i) packets
+    cached by exactly the users in c = J - k."""
+    _, user, _, rest, _, _ = _cells(p.shape[-1])
+    return sizes[:, user] * _subset_products(1.0 - p, p)[:, rest]
+
+
+@lru_cache(maxsize=None)
+def _chains(K: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per cardinality c = 1..K: the masks S with |S| = c (n_c), the users
+    i in each, descending (n_c, c, 0-based), S minus each of them, the
+    flat index S * K + i of each, and the row index of each S."""
+    masks = np.arange(1, 1 << K)
+    size = _popcount(masks, K)
+    out = []
+    for c in range(1, K + 1):
+        S = masks[size == c]
+        bits = (S[:, None] >> np.arange(K - 1, -1, -1)) & 1
+        members = (K - 1 - np.nonzero(bits)[1]).reshape(len(S), c)
+        out.append((S, members, S[:, None] ^ (1 << members),
+                    S[:, None] * K + members, np.arange(len(S))))
+    return tuple(out)
+
+
+def _lattice(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched max over orders pi of sum_k w[pi_1..pi_k] * x[pi_k], for
+    weights w (B, 2^K) and per-user values x (B or 1, K): the longest
+    chain in the subset lattice, best(S) = max_{i in S} best(S - i) +
+    w(S) * x_i, one cardinality at a time.  Returns best over all users
+    (B,) and last[b, S], the 0-based user that ends a best chain of S;
+    ties put the larger index last.  Rounding is monotone, so the value
+    equals the largest of the K! float sums.  A NaN would fail every
+    comparison, so non-finite inputs are refused."""
+    K = w.shape[-1].bit_length() - 1
+    if x.shape[-1] != K:
+        raise ValueError(f"need one value per user: {x.shape[-1]} for K = {K}")
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
         raise ValueError("weights and per-user values must be finite")
-    best = [0.0] * (1 << K)
-    last = [0] * (1 << K)
-    for S in range(1, 1 << K):
-        wS = w[S]
-        top = -inf
-        for i in range(K):
-            if S >> i & 1:
-                v = best[S ^ (1 << i)] + wS * x[i]
-                if v >= top:
-                    top, last[S] = v, i
-        best[S] = top
+    B = w.shape[0]
+    best = np.zeros((B, 1 << K))
+    last = np.zeros((B, 1 << K), dtype=np.intp)
+    wx = (w[:, :, None] * x[:, None, :]).reshape(B, -1)    # w(S) * x_i
+    for S, members, preds, at, rows in _chains(K):
+        cand = best[:, preds] + wx[:, at]
+        j = np.argmax(cand, axis=2)      # first maximum: the larger user
+        best[:, S] = cand.max(axis=2)
+        last[:, S] = members[rows, j]
+    return best[:, -1], last
+
+
+def _lattice_max(w, x) -> tuple[float, tuple[int, ...]]:
+    """`_lattice` of one instance: the value and a maximizing order
+    (1-based), fully tied orders coming out ascending."""
+    w = np.asarray(w, dtype=float)
+    x = np.asarray(x, dtype=float)
+    best, last = _lattice(w[None], x[None])
     order = []
-    S = (1 << K) - 1
+    S = w.shape[-1] - 1
     while S:
-        order.append(last[S] + 1)
-        S ^= 1 << last[S]
-    return best[-1], tuple(reversed(order))
+        i = int(last[0, S])
+        order.append(i + 1)
+        S ^= 1 << i
+    return float(best[0]), tuple(reversed(order))
 
 
 def region_weight(cfg: SystemConfig, users) -> float:
@@ -99,7 +250,7 @@ def region_weight(cfg: SystemConfig, users) -> float:
     m = mask_of(users)
     if m == 0:
         raise ValueError("empty user set has no region weight")
-    return _weights(cfg.p, cfg.delta)[m]
+    return float(_weights(cfg.p, cfg.delta)[m])
 
 
 def region_inequalities(cfg: SystemConfig) -> list[dict]:
@@ -108,7 +259,7 @@ def region_inequalities(cfg: SystemConfig) -> list[dict]:
     if cfg.K > MAX_PERMUTATION_K:
         raise ValueError(
             f"K = {cfg.K} > {MAX_PERMUTATION_K}: K! enumeration refused")
-    w = _weights(cfg.p, cfg.delta)
+    w = _weights(cfg.p, cfg.delta).tolist()
     rows = []
     for perm in itertools.permutations(range(cfg.K)):
         m = 0
@@ -157,7 +308,7 @@ def _inv(w: float) -> float:
 def two_user_region(cfg: SystemConfig) -> TwoUserRegion:
     if cfg.K != 2:
         raise ValueError("two_user_region requires K = 2")
-    _, w1, w2, w12 = _weights(cfg.p, cfg.delta)
+    _, w1, w2, w12 = _weights(cfg.p, cfg.delta).tolist()
     # 0 <= w12 <= min(w1, w2), and w12 = 0 only when a user caches all
     det = w1 * w2 - w12 * w12
     if not w12:
@@ -195,124 +346,100 @@ def ttot_closed_form(cfg: SystemConfig, demand: Demand | None = None,
 
 @dataclass
 class PhasePlan:
-    """Expected sub-phase length table.
+    """Expected sub-phase length table, as arrays indexed by user set
+    masks (bit k-1 for user k).
 
-    t_user[(J, k)] is the length user k needs in sub-phase J and t_sub[J]
-    the realized (worst user) length, over ascending 1-based tuples.  The
-    symbols created in sub-phase I for k and re-sent in J (expected
-    t_user[(I, k)] * delta_k * prod_{j not in J} delta_j
-    * prod_{j in J - I}(1 - delta_j)) enter k's need in J; none is kept.
+    t_user[k-1, J] (K, 2^K) is the length user k needs in sub-phase J,
+    0.0 where k is not in J, and t_sub[J] (2^K,) the realized (worst
+    user) length, 0.0 at the empty mask.  The symbols created in
+    sub-phase I for k and re-sent in J (expected t_user[k-1, I] * delta_k
+    * prod_{j not in J} delta_j * prod_{j in J - I}(1 - delta_j)) enter
+    k's need in J; none is kept.
     """
 
     sizes: tuple[float, ...]
-    t_user: dict[tuple[tuple[int, ...], int], float]
-    t_sub: dict[tuple[int, ...], float]
+    t_user: np.ndarray
+    t_sub: np.ndarray
     total: float
 
     def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "subphases": [
-                {"subphase": list(J), "t": t,
-                 "t_user": {str(k): self.t_user[(J, k)] for k in J}}
-                for J, t in self.t_sub.items()
-            ],
-        }
+        """Sub-phases in `subsets_ascending` order, users 1-based."""
+        K = len(self.sizes)
+        t_user = self.t_user.reshape(-1)[_cells(K)[0]].tolist()
+        t_sub = self.t_sub.tolist()
+        subphases = []
+        at = 0
+        for J in subsets_ascending(K):
+            users = users_of(J)
+            subphases.append({
+                "subphase": list(users), "t": t_sub[J],
+                "t_user": dict(zip(map(str, users),
+                                   t_user[at:at + len(users)]))})
+            at += len(users)
+        return {"total": self.total, "subphases": subphases}
 
 
 def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
                sizes: Sequence[float] | None = None,
                placement: PlacementMap | None = None) -> PhasePlan:
     """Sub-phase lengths by the bottom-up recursion over subset
-    cardinality.
+    cardinality (`_plan_tables` of one instance).
 
     Sub-file sizes default to their decentralized expectations; passing a
     PlacementMap substitutes realized counts for finite-size comparison.
     """
-    K = cfg.K
     F = _sizes_for(cfg, demand, sizes)
-    p, d = cfg.p, cfg.delta
-    ones = [1.0] * K
-    erase = _subset_products(ones, d)
-    passed = _subset_products(ones, [1.0 - x for x in d])
-    users = _user_tuples(K)
-    full = (1 << K) - 1
-
-    # need0[k0][c]: packets user k0 lacks that exactly the users in c cache
     if placement is not None:
         demand = demand_for(cfg, demand)
         validate_placement(cfg, placement)
-        need0 = [placement.subset_counts(demand.file_of(k)).astype(float)
-                 .tolist() for k in range(1, K + 1)]
+        counts = np.array([placement.subset_counts(demand.file_of(k))
+                           for k in range(1, cfg.K + 1)], dtype=float)
+        _, user, _, rest, _, _ = _cells(cfg.K)
+        n0 = counts[user, rest][None]
     else:
-        q = [1.0 - x for x in p]
-        need0 = [_subset_products(q, p, F[k0]) for k0 in range(K)]
-
-    t = [[0.0] * (1 << K) for _ in range(K)]   # t[k0][J]
-    t_user: dict[tuple[tuple[int, ...], int], float] = {}
-    t_sub: dict[tuple[int, ...], float] = {}
-    total = 0.0
-    for J in subsets_ascending(K):
-        Jt = users[J]
-        best = 0.0
-        for k in Jt:
-            k0 = k - 1
-            tk0 = t[k0]
-            bit = 1 << k0
-            dd = erase[(full & ~J) | bit]
-            rest = J & ~bit
-            need = need0[k0][rest]
-            # symbols of earlier sub-phases s | bit, s a proper subset of
-            # rest, in descending order
-            s = rest
-            while s:
-                s = (s - 1) & rest
-                need += tk0[s | bit] * dd * passed[rest & ~s]
-            tk = need / (1.0 - dd)
-            tk0[J] = tk
-            t_user[(Jt, k)] = tk
-            if tk > best:
-                best = tk
-        t_sub[Jt] = best
-        total += best
-    return PhasePlan(F, t_user, t_sub, total)
+        n0 = _expected_need(np.array([cfg.p]), np.array([F]))
+    t = _plan_tables(np.array([cfg.delta]), n0)[0]
+    t_sub = t.max(axis=0)
+    return PhasePlan(F, t, t_sub, float(t_sub.sum()))
 
 
-def _alternating(w: Sequence[float], base: int, rest: int) -> float:
-    """sum over subsets s of rest, descending, of (-1)^|s| * w[base | s]."""
-    out = 0.0
-    sub = rest
-    while True:
-        sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-        out += sign * w[base | sub]
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    return out
+def allocation_lengths(cfg: SystemConfig, mems) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+    """`phase_plan(c).total` and `ttot_closed_form(c)[0]` of
+    c = cfg.with_mem(m) for every row m of `mems` (B, K), user k
+    requesting file k, through one batched recursion and one batched
+    lattice maximum; temporaries hold B * K * 2^K cells."""
+    p = np.asarray(mems, dtype=float) / cfg.N
+    delta = np.array([cfg.delta])
+    F = np.array([_sizes_for(cfg, None, None)])
+    t = _plan_tables(delta, _expected_need(p, F))
+    lower, _ = _lattice(_weights(p, delta), F)
+    return t.max(axis=1).sum(axis=1), lower
 
 
 def subphase_length_alternating(cfg: SystemConfig, J, k: int,
                                 size: float) -> float:
     """Per-user sub-phase length as an alternating sum of region weights
-    over the subsets of J \\ {k}; equals the recursion's value."""
+    over the subsets s of J \\ {k}, of w((users outside J) + k + s): the
+    Moebius transform of the complemented weights w(all - m) read at
+    J \\ {k}.  Equals the recursion's value."""
     Jm = mask_of(J)
     k0 = k - 1
     if not Jm >> k0 & 1:
         raise ValueError("k must belong to J")
-    full = (1 << cfg.K) - 1
     w = _weights(cfg.p, cfg.delta)
-    return _alternating(w, (full & ~Jm) | (1 << k0), Jm & ~(1 << k0)) * size
+    return float(_mobius(w[::-1])[Jm & ~(1 << k0)]) * size
 
 
 def worst_user(plan: PhasePlan, J, rates: Sequence[float] | None = None) -> int:
     """User attaining the sub-phase length, with per-user lengths rescaled
     to the given rate vector when one is supplied; ties break toward the
     smallest index."""
-    users = users_of(mask_of(J))
+    Jm = mask_of(J)
     best_u = 0
     best = -1.0
-    for k in users:
-        v = plan.t_user[(users, k)]
+    for k in users_of(Jm):
+        v = float(plan.t_user[k - 1, Jm])
         if rates is not None:
             if plan.sizes[k - 1] <= 0.0:
                 raise ValueError("plan built with zero size; rescaling undefined")
@@ -508,28 +635,21 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
         plan = phase_plan(cfg, sizes=F)
         # weights of the instance the recursion runs on, cfg.p = (p * N) / N
         w = _weights(cfg.p, cfg.delta)
-        users = _user_tuples(kk)
-        full = (1 << kk) - 1
-        for Jm in subsets_ascending(kk):
-            Ju = users[Jm]
-            for k in Ju:
-                bit = 1 << (k - 1)
-                alt = _alternating(w, (full & ~Jm) | bit, Jm & ~bit) * F[k - 1]
-                r_alt = max(r_alt, abs(alt - plan.t_user[(Ju, k)]))
-                agg = sum(plan.t_user[(users[Im], k)]
-                          for Im in subsets_ascending(kk)
-                          if Im & ~Jm == 0 and Im & bit)
-                r_agg = max(r_agg, abs(agg - w[(full & ~Jm) | bit] * F[k - 1]))
-            if Jm != full:
-                # telescoping weights lemma over subsets of J
-                acc = 0.0
-                sub = Jm
-                while True:
-                    acc += _alternating(w, full & ~sub, sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & Jm
-                r_lem = max(r_lem, abs(acc - w[full & ~Jm]))
+        cell, user, _, rest, comp, _ = _cells(kk)
+        Fk = np.asarray(F)[user]
+        t = plan.t_user.reshape(-1)[cell]
+        # alternating sum over the subsets s of J - k of
+        # w((users outside J) + k + s), the Moebius transform of the
+        # complemented weights at J - k
+        mu = _mobius(w[::-1])
+        r_alt = max(r_alt, float(np.abs(mu[rest] * Fk - t).max()))
+        # k's lengths over the sub-phases inside J that hold k add up to
+        # w((users outside J) + k) * F_k
+        agg = _zeta(plan.t_user).reshape(-1)[cell]
+        r_agg = max(r_agg, float(np.abs(agg - w[comp] * Fk).max()))
+        # telescoping weights lemma: the subset sums of those alternating
+        # sums give back w(all - J) for every J other than all users
+        r_lem = max(r_lem, float(np.abs(_zeta(mu) - w[::-1])[1:-1].max()))
     rep.residuals["alternating_vs_recursion"] = r_alt
     rep.residuals["aggregate_identity"] = r_agg
     rep.residuals["weights_lemma"] = r_lem
@@ -550,7 +670,8 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
         plan = phase_plan(cfg, sizes=rates)
         closed, _ = ttot_closed_form(cfg, sizes=rates)
         r_plan = max(r_plan, abs(plan.total - closed))
-        for Ju in _user_tuples(kk)[1:]:
+        for Jm in range(1, 1 << kk):
+            Ju = users_of(Jm)
             if worst_user(plan, Ju) != Ju[0]:
                 rep.worst_user_ok = False
         if not permutation_dominance(cfg, RateVector(rates)):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import comb, isfinite, sqrt
 
 import numpy as np
@@ -21,7 +22,9 @@ from .placement import centralized_placement, decentralized_placement
 
 DEFAULT_TRIALS = 20
 DEFAULT_SWEEP_F = 10_000
-SEARCH_SPACE_GUARD = 10_000_000
+# optimize-mem's largest search in plan cells, allocations x K * 2^K:
+# about 10 s at the guard (2-vCPU x86-64 host, K = 2 and K = 12 alike)
+SEARCH_WORK_GUARD = 1 << 26
 
 
 @dataclass
@@ -206,7 +209,11 @@ def optimize_memory(cfg: SystemConfig, budget: float, step: float
                     ) -> MemoryAllocation:
     """Exhaustive search over the discretized simplex sum(M_k) = budget
     for the allocation minimizing the planned delivery length; also
-    reports the closed-form minimizer as the companion lower bound."""
+    reports the closed-form minimizer as the companion lower bound.  The
+    first allocation, in `_compositions` order, within 1e-15 of the
+    minimum wins.  The grid goes through `analysis.allocation_lengths` in
+    blocks of at most `analysis.BATCH_CELLS` plan cells; a search of more
+    than SEARCH_WORK_GUARD cells in all is refused before any block."""
     if not (isfinite(budget) and isfinite(step)):
         raise ValueError("budget and step must be finite")
     if not 0 <= budget <= cfg.K * cfg.N:
@@ -218,18 +225,27 @@ def optimize_memory(cfg: SystemConfig, budget: float, step: float
         raise ValueError("step must divide budget")
     cap = int(cfg.N / step + 1e-9)
     space = comb(n + cfg.K - 1, cfg.K - 1)
-    if space > SEARCH_SPACE_GUARD:
-        raise ValueError(f"search space {space} exceeds guard "
-                         f"{SEARCH_SPACE_GUARD}")
+    cells = cfg.K << cfg.K
+    if space * cells > SEARCH_WORK_GUARD:
+        raise ValueError(f"search work {space} allocations x {cells} plan "
+                         f"cells exceeds guard {SEARCH_WORK_GUARD}")
     best = best_lb = float("inf")
     best_mem = best_lb_mem = (0.0,) * cfg.K
-    for parts in _compositions(n, cfg.K, cap):
-        mem = tuple(p * step for p in parts)
-        trial = cfg.with_mem(mem)
-        obj = analysis.phase_plan(trial).total
-        if obj < best - 1e-15:
-            best, best_mem = obj, mem
-        lb, _ = analysis.ttot_closed_form(trial)
-        if lb < best_lb - 1e-15:
-            best_lb, best_lb_mem = lb, mem
+    grid = _compositions(n, cfg.K, cap)
+    block = max(1, analysis.BATCH_CELLS // cells)
+    while parts := list(islice(grid, block)):
+        mems = np.array(parts, dtype=float) * step
+        objs, lbs = analysis.allocation_lengths(cfg, mems)
+        best, best_mem = _first_wins(objs, mems, best, best_mem)
+        best_lb, best_lb_mem = _first_wins(lbs, mems, best_lb, best_lb_mem)
     return MemoryAllocation(best_mem, best, budget, best_lb_mem, best_lb)
+
+
+def _first_wins(values, mems, best, best_mem):
+    """Scan a block in order: a value more than 1e-15 below the best so
+    far becomes the best.  Only a value below the block's starting best
+    can win, so only those are scanned."""
+    for i in np.flatnonzero(values < best - 1e-15).tolist():
+        if values[i] < best - 1e-15:
+            best, best_mem = float(values[i]), tuple(mems[i].tolist())
+    return best, best_mem

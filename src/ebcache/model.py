@@ -19,8 +19,9 @@ CONFIG_KEYS = {"K", "N", "delta", "mem", "file_sizes", "field_order"}
 SUPPORTED_FIELD_ORDERS = (2, 256)
 # Upper bounds, so every accepted config runs to completion in bounded
 # time and memory.  `ebcache plan` (2-vCPU x86-64 host, Python 3.11,
-# numpy 2.4) took 8.3, 23 and 70 s at K = 14, 15 and 16, with peak RSS
-# 116, 211 and 409 MB: about 3x per user, so K = 17 would take minutes.
+# numpy 2.4) took 0.7, 1.4 and 3.1 s at K = 14, 15 and 16, with peak RSS
+# 122, 222 and 432 MB, most of both in writing its 2^K - 1 sub-phases as
+# JSON; time and memory double per user.
 # `simulate --length-only` at K = N = 16 (delta 0.5, mem 8) peaked at
 # 174, 255 and 413 MB RSS for files of 250k, 500k and 1M packets (4-6 s
 # at 500k).  The largest size in use elsewhere is 100k packets.

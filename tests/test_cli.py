@@ -193,6 +193,27 @@ def test_optimize_mem_verb(capsys, tmp_path):
     assert doc["lower_bound"] <= doc["objective"] + 1e-9
 
 
+def test_optimize_mem_refuses_a_search_over_the_work_guard(capsys, tmp_path,
+                                                          monkeypatch):
+    # K = 16, budget 16, step 4: 3,876 allocations of 16 * 2^16 plan cells
+    # each, about 4e9 cells, is refused up front, before any plan runs
+    def no_work(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(analysis, "_plan_tables", no_work)
+    monkeypatch.setattr(analysis, "_lattice", no_work)
+    path = tmp_path / "k16.json"
+    path.write_text(json.dumps({"K": MAX_K, "N": MAX_K,
+                                "delta": [0.5] * MAX_K, "mem": [0] * MAX_K,
+                                "file_sizes": [1] * MAX_K}))
+    code = main(["optimize-mem", "--config", str(path), "--budget", "16",
+                 "--step", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error: search work 3876 allocations")
+    assert "guard" in captured.err
+
+
 def test_verify_verb_passes(capsys):
     code, out = run(capsys, ["verify", "--K", "4", "--samples", "60",
                              "--seed", "7"])

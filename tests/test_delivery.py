@@ -613,7 +613,7 @@ def test_realized_transfers_match_expected_counts():
         # t_k(I) * delta_k * prod_{j not in J} delta_j
         #        * prod_{j in J - I} (1 - delta_j)
         I, J, k = key
-        want = plan.t_user[(I, k)] * delta[k - 1]
+        want = plan.t_user[k - 1, mask_of(I)] * delta[k - 1]
         for j in range(1, 4):
             if j not in J:
                 want *= delta[j - 1]

@@ -34,7 +34,7 @@ def test_alternating_sum_equals_recursion(seed):
         J = users_of(Jm)
         for k in J:
             alt = subphase_length_alternating(cfg, J, k, F[k - 1])
-            assert alt == pytest.approx(plan.t_user[(J, k)], abs=1e-12)
+            assert alt == pytest.approx(plan.t_user[k - 1, Jm], abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,7 +49,7 @@ def test_aggregate_identity(seed):
     for Jm in subsets_ascending(K):
         J = users_of(Jm)
         for k in J:
-            agg = sum(plan.t_user[(users_of(Im), k)]
+            agg = sum(plan.t_user[k - 1, Im]
                       for Im in subsets_ascending(K)
                       if Im & ~Jm == 0 and Im >> (k - 1) & 1)
             rest = users_of((full & ~Jm) | (1 << (k - 1)))
@@ -220,3 +220,20 @@ def test_identity_suite_reports_a_failed_ordering_check(check, monkeypatch):
     assert rep.max_residual < analysis.IDENTITY_TOL and not rep.ok()
     assert (rep.worst_user_ok, rep.dominance_ok) == (
         check != "worst_user", check != "permutation_dominance")
+
+
+def test_identity_suite_catches_a_wrong_plan(monkeypatch):
+    # one length of every plan off by a relative 1e-6 shows in both
+    # residuals that read the plan, and fails the suite
+    plan_of = analysis.phase_plan
+
+    def wrong(*args, **kwargs):
+        plan = plan_of(*args, **kwargs)
+        plan.t_user.reshape(-1)[plan.t_user.argmax()] *= 1 + 1e-6
+        return plan
+
+    monkeypatch.setattr(analysis, "phase_plan", wrong)
+    rep = analysis.identity_suite(K=4, samples=20, seed=0)
+    assert rep.residuals["alternating_vs_recursion"] > analysis.IDENTITY_TOL
+    assert rep.residuals["aggregate_identity"] > analysis.IDENTITY_TOL
+    assert not rep.ok()
