@@ -89,9 +89,11 @@ def _cmd_ttot(args) -> int:
     cfg = _load(args)
     demand = _parse_demand(cfg, args.demand)
     value, perm = analysis.ttot_closed_form(cfg, demand)
-    plan = analysis.phase_plan(cfg, demand)
+    total = analysis.phase_plan(cfg, demand).total
+    # the gap between the totals as printed, so equal totals read 0
+    gap = float(f"{total:.12g}") - float(f"{value:.12g}")
     _emit_json({"ttot_closed_form": value, "maximizer": list(perm),
-                "plan_total": plan.total, "gap": plan.total - value})
+                "plan_total": total, "gap": gap})
     return 0
 
 

@@ -50,11 +50,12 @@ them: each wave solves the rows left with one unknown and folds the
 values into every row that holds them.  Every row that fixed no unknown
 then goes to one `gf256.rref`, the only elimination routine, over the
 unknowns still unsolved: redundant rows, which must read 0 = 0, and any
-cycle or dense combination the peel could not open.  That reduced matrix
-is the residual system.  Only dense combinations draw coefficients, so
-only they can fall short of rank; those rare shortfalls are repaired by a
-feedback cleanup round, which stacks each row it hears under the
-residual and reduces again.
+cycle or dense combination the peel could not open.  A user's state is
+one record of arrays (`_Decoding`): each unknown's value once solved and
+the reduced residual over the rest.  Only dense combinations draw
+coefficients, so only they can fall short of rank; those rare shortfalls
+are repaired by a feedback cleanup round, which stacks each row it hears
+under the residual and reduces again.
 """
 
 from __future__ import annotations
@@ -183,16 +184,37 @@ class SimResult:
 
 
 @dataclass
-class _Residual:
-    """What peeling left of one user's system: the reduced matrix over
-    the unknowns the peel could not solve, its pivots and the atom of each
-    column, beside the packets the peel did solve."""
+class _Decoding:
+    """One user's decoding: atom a is unknown `col[a]` (-1 if none), of
+    value `sol[col[a]]` once `solved`; `m` is the reduced residual over
+    the unsolved columns `rcols`, ascending, then the right-hand side."""
 
+    col: np.ndarray
+    sol: np.ndarray
+    solved: np.ndarray
     m: np.ndarray
-    pivots: dict[int, int]
-    col_of: dict[int, int]
-    solved: dict[int, np.ndarray]
-    need: list[int]      # demanded packets the user neither cached nor heard
+    rcols: np.ndarray
+    need: np.ndarray        # demanded packets neither cached nor heard
+    lacked: np.ndarray      # which of the demanded packets are in `need`
+
+    @property
+    def unresolved(self) -> np.ndarray:
+        """The needed packets still unsolved, ascending."""
+        return self.need[~self.solved[self.col[self.need]]]
+
+    def reduce(self) -> None:
+        """Eliminate `m`, then move every pivot row that holds its column
+        alone out of the residual into `sol`, and drop the rows that read
+        0 = 0; what is left stays reduced."""
+        n = len(self.rcols)
+        pivots = rref(self.m, n)
+        m = self.m[:len(pivots)]        # rref leaves the pivot rows first
+        alone = np.count_nonzero(m[:, :n], axis=1) == 1
+        cols = np.fromiter(pivots, np.int64, len(pivots))[alone]
+        self.sol[self.rcols[cols]] = m[alone, n:]
+        self.solved[self.rcols[cols]] = True
+        self.m = np.delete(m[~alone], cols, axis=1)
+        self.rcols = np.delete(self.rcols, cols)
 
 
 class _Engine:
@@ -450,7 +472,7 @@ class _Engine:
     def _user_system(self, k0: int, known: np.ndarray):
         """User k0 + 1's equations: each entry's row, column and
         coefficient, rows ascending, one right-hand side per row, and the
-        atom of every column.
+        column of every atom (-1 if none).
 
         The rows are the combinations the user heard in its own pools and
         the definitions `atom + combination = 0` of the combinations it
@@ -506,12 +528,9 @@ class _Engine:
             atoms = fresh
             if not len(atoms):
                 break
-        atom_of = np.empty(ncols, dtype=np.int64)
-        atom_of[col[col >= 0]] = np.nonzero(col >= 0)[0]
-        return (*map(np.concatenate, zip(*ents)), np.concatenate(rhss),
-                atom_of)
+        return (*map(np.concatenate, zip(*ents)), np.concatenate(rhss), col)
 
-    def decode_user(self, k: int):
+    def decode_user(self, k: int) -> _Decoding:
         """Solve user k's banked equations by peeling, then eliminate
         what is left.
 
@@ -527,14 +546,14 @@ class _Engine:
         catches a row reading 0 = nonzero.  This is peeling then
         inactivation, as in the decoders of LT and Raptor codes.
 
-        Returns (solved {packet id: value row}, unresolved demanded ids,
-        the residual state for cleanup continuation).
+        Returns the user's `_Decoding`: every unknown solved so far, and
+        the residual over the rest.
         """
         k0 = k - 1
         known = self._known(k0)
         # the entries still unsolved: row, column, coefficient
-        row, c, cs, rhs, atom_of = self._user_system(k0, known)
-        ncols, nrows = len(atom_of), len(rhs)
+        row, c, cs, rhs, col = self._user_system(k0, known)
+        ncols, nrows = np.count_nonzero(col >= 0), len(rhs)
         sol = np.zeros((ncols, self.L), dtype=np.uint8)
         solved = np.zeros(ncols, dtype=bool)
         pivot = np.zeros(nrows, dtype=bool)
@@ -558,60 +577,42 @@ class _Engine:
         # every row that is no pivot, over the unknowns still unsolved
         rest = ~pivot
         rcols = np.flatnonzero(~solved)
-        loc = np.cumsum(~solved) - 1
         m = np.zeros((np.count_nonzero(rest), len(rcols) + self.L),
                      dtype=np.uint8)
-        m[(np.cumsum(rest) - 1)[row], loc[c]] = cs
+        m[(np.cumsum(rest) - 1)[row], np.searchsorted(rcols, c)] = cs
         m[:, len(rcols):] = rhs[rest]
-        pivots = rref(m, len(rcols))
-        done = np.flatnonzero(solved & (atom_of < self.npackets))
         md = self.must_decode[k0]
-        state = _Residual(
-            m=m, pivots=pivots,
-            col_of=dict(zip(atom_of[rcols].tolist(), range(len(rcols)))),
-            solved=dict(zip(atom_of[done].tolist(), sol[done])),
-            need=md[~known[md]].tolist())
-        solved, unresolved = self._extract(state)
-        return solved, unresolved, state
+        lacked = ~known[md]
+        dec = _Decoding(col, sol, solved, m, rcols, md[lacked], lacked)
+        dec.reduce()
+        return dec
 
-    def _extract(self, state: _Residual):
-        m, n = state.m, len(state.col_of)
-        solved = dict(state.solved)
-        id_of = {c: a for a, c in state.col_of.items()}
-        for c, rw in state.pivots.items():
-            if id_of[c] < self.npackets and np.count_nonzero(m[rw, :n]) == 1:
-                solved[id_of[c]] = m[rw, n:]
-        return solved, [pid for pid in state.need if pid not in solved]
-
-    def cleanup(self, k: int, state: _Residual, budget: int):
+    def cleanup(self, k: int, dec: _Decoding, budget: int) -> int:
         """Feedback retransmission of fresh combinations over the still
         unresolved packets until user k can finish, within `budget` slots.
         Each row the user hears is stacked under the residual matrix,
         which is eliminated again.
 
-        Returns (slots used, solved {packet id: value row}, unresolved
-        demanded ids).
+        Returns the slots used; `dec` holds what was solved.
         """
         k0 = k - 1
         used = 0
-        solved, unresolved = self._extract(state)
-        while unresolved and used < budget:
+        ids = dec.unresolved
+        while ids.size and used < budget:
             used += 1
             self.slot += 1
-            ids = np.asarray(unresolved, dtype=np.int64)
             coefs = self._coefs(len(ids))
             payload = gf_dot(coefs, self.values[ids])
             S = self.chan.state()
             if not S >> k0 & 1:
                 continue
-            n = len(state.col_of)
-            row = np.zeros(n + self.L, dtype=np.uint8)
-            row[[state.col_of[pid] for pid in unresolved]] = coefs
-            row[n:] = payload
-            state.m = np.vstack([state.m, row])
-            state.pivots = rref(state.m, n)
-            solved, unresolved = self._extract(state)
-        return used, solved, unresolved
+            n = len(dec.rcols)
+            dec.m = np.vstack([dec.m, np.zeros(n + self.L, np.uint8)])
+            dec.m[-1, np.searchsorted(dec.rcols, dec.col[ids])] = coefs
+            dec.m[-1, n:] = payload
+            dec.reduce()
+            ids = dec.unresolved
+        return used
 
 
 def _exact_split(sets, active: int) -> list[int] | None:
@@ -733,14 +734,12 @@ def _finish(eng: _Engine, cleanup_budget: int | None) -> SimResult:
     cleanup_slots = 0
     budget = (CLEANUP_BUDGET_PER_USER * eng.K if cleanup_budget is None
               else cleanup_budget)
-    decode_ok = []
     recovered = {}
     for k in range(1, eng.K + 1):
-        solved, unresolved, state = eng.decode_user(k)
-        if unresolved:
-            used, solved, unresolved = eng.cleanup(
-                k, state, budget - cleanup_slots)
-            cleanup_slots += used
+        dec = eng.decode_user(k)
+        if dec.unresolved.size:
+            cleanup_slots += eng.cleanup(k, dec, budget - cleanup_slots)
+        unresolved = dec.unresolved.tolist()
         if unresolved:
             raise CleanupBudgetExceeded(
                 f"user {k} still missing {len(unresolved)} packets "
@@ -748,11 +747,9 @@ def _finish(eng: _Engine, cleanup_budget: int | None) -> SimResult:
         # every demanded packet the user lacked is now solved
         ids = eng.must_decode[k - 1]
         got = eng.values[ids]
-        for i in np.nonzero(~eng._known(k - 1)[ids])[0].tolist():
-            got[i] = solved[int(ids[i])]
+        got[dec.lacked] = dec.sol[dec.col[dec.need]]
         if not np.array_equal(got, eng.values[ids]):
             raise DeliveryError(f"user {k} produced wrong bytes (engine bug)")
-        decode_ok.append(True)
         recovered[k] = got
-    return replace(eng.result(), decode_ok=decode_ok,
+    return replace(eng.result(), decode_ok=[True] * eng.K,
                    cleanup_slots=cleanup_slots, recovered=recovered)

@@ -68,6 +68,18 @@ def test_ttot_verb_reports_gap_field(capsys, two_user):
     assert doc["gap"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_ttot_gap_of_equal_printed_totals_is_exactly_zero(capsys):
+    # symmetric, so the plan and the closed form agree; their roundoff
+    # differs, but the gap is taken between the totals as printed
+    config = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "configs", "sweep_base.json")
+    code, out = run(capsys, ["ttot", "--config", config])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["plan_total"] == doc["ttot_closed_form"]
+    assert doc["gap"] == 0.0
+
+
 def test_plan_verb(capsys, two_user):
     code, out = run(capsys, ["plan", "--config", two_user])
     assert code == 0

@@ -191,8 +191,9 @@ def test_cleanup_budget_zero_is_a_hard_failure():
     pm = decentralized_placement(CLEANUP_CFG, CLEANUP_SEED)
     with pytest.raises(CleanupBudgetExceeded) as err:
         run_delivery(CLEANUP_CFG, pm, seed=CLEANUP_SEED, cleanup_budget=0)
-    # conservation: the failure names what is missing
-    assert err.value.unresolved
+    # conservation: the failure names what is missing, as plain ints
+    assert err.value.unresolved == {1: [9]}
+    assert all(type(pid) is int for pid in err.value.unresolved[1])
 
 
 @pytest.mark.parametrize("q, unresolved, cleanup_slots",
@@ -205,7 +206,8 @@ def test_cleanup_starts_from_the_same_unresolved_packets(q, unresolved,
     cfg = replace(CLEANUP_CFG, field_order=q)
     pm = decentralized_placement(cfg, CLEANUP_SEED)
     eng = _delivered(cfg, pm, Demand.identity(3), CLEANUP_SEED)
-    assert [eng.decode_user(k)[1] for k in (1, 2, 3)] == unresolved
+    assert [eng.decode_user(k).unresolved.tolist()
+            for k in (1, 2, 3)] == unresolved
     res = run_delivery(cfg, pm, seed=CLEANUP_SEED)
     assert res.cleanup_slots == cleanup_slots
     assert res.decode_ok == [True] * 3
@@ -864,6 +866,13 @@ def test_slot_chunk_changes_no_result(q, monkeypatch):
 # -- peeling decoder against one global elimination ---------------------------
 
 
+def decoded_packets(eng, dec):
+    """{packet id: value} of every packet a user's `_Decoding` solved."""
+    ids = np.flatnonzero(dec.col[:eng.npackets] >= 0)
+    ids = ids[dec.solved[dec.col[ids]]]
+    return dict(zip(ids.tolist(), dec.sol[dec.col[ids]]))
+
+
 def global_solve(eng, k):
     """Packets user k can decode, from one rref over its whole system:
     every combination it heard in its own pools, plus the definition of
@@ -933,10 +942,11 @@ def test_peeling_decoder_matches_one_global_elimination(K, F, q, L, seed,
         eng.heard[own[rng.random(len(own)) < 0.2]] ^= 1 << k0
     for k in range(1, K + 1):
         want = global_solve(eng, k)
-        solved, unresolved, _ = eng.decode_user(k)
+        dec = eng.decode_user(k)
+        solved = decoded_packets(eng, dec)
         assert set(solved) == set(want)
         assert all(np.array_equal(solved[pid], want[pid]) for pid in want)
-        assert set(unresolved).isdisjoint(want)
+        assert set(dec.unresolved.tolist()).isdisjoint(want)
 
 
 def test_peeling_decoder_solves_pools_closed_in_a_cycle():
@@ -950,8 +960,9 @@ def test_peeling_decoder_solves_pools_closed_in_a_cycle():
     cfg = cfg_of((0.4, 0.5, 0.6, 0.7), (0.5, 0.4, 0.3, 0.6), 40)
     pm = decentralized_placement(cfg, 28)
     eng = _delivered(cfg, pm, Demand.identity(4), 128)
-    solved, unresolved, _ = eng.decode_user(4)
-    assert not unresolved
+    dec = eng.decode_user(4)
+    assert not dec.unresolved.size
+    solved = decoded_packets(eng, dec)
     want = global_solve(eng, 4)
     assert set(solved) == set(want)
     assert all(np.array_equal(solved[pid], want[pid]) for pid in want)
