@@ -15,7 +15,10 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from math import inf
+
+import numpy as np
 
 from . import analysis, experiments
 from .delivery import DeliveryError, run_delivery
@@ -38,6 +41,59 @@ def _round12(doc):
 
 def _emit_json(doc) -> None:
     print(json.dumps(_round12(doc), indent=2))
+
+
+# one sub-phase of `ebcache plan`'s document: its members, then %s for
+# its length and, under "t_user", one key and %s per member
+_SUBPHASE = ('\n    {\n      "subphase": [\n        %s\n      ],\n'
+             '      "t": %%s,\n      "t_user": {\n        %s\n      }\n    }')
+_NOT_FINITE = {"inf": "null", "-inf": "null", "nan": "NaN"}
+
+
+@lru_cache(maxsize=1)
+def _plan_layout(K: int) -> tuple[str, np.ndarray]:
+    """`ebcache plan`'s document for K users as a %-template with one %s
+    per number, and where each number sits in (total, t_sub, t_user
+    flattened): the total, then per sub-phase in `subsets_ascending`
+    order its length and its members' lengths, users ascending."""
+    n = 1 << K
+    cell = analysis._cells(K)[0]
+    J = cell & (n - 1)
+    first = np.flatnonzero(np.diff(J, prepend=0))   # each sub-phase's first cell
+    # sub-phase i's length goes after the total, the i lengths before it
+    # and the cells before its first
+    at = 1 + np.arange(len(first)) + first
+    take = np.empty(1 + len(first) + len(cell), dtype=np.intp)
+    take[0] = 0
+    take[at] = 1 + J[first]
+    cells = np.ones(len(take), dtype=bool)
+    cells[0] = cells[at] = False
+    take[cells] = 1 + n + cell
+    members = [""] * n
+    keys = [""] * n
+    for m in range(1, n):
+        top = m.bit_length()
+        rest = m ^ 1 << top - 1
+        sep = ",\n        " if rest else ""
+        members[m] = f"{members[rest]}{sep}{top}"
+        keys[m] = f'{keys[rest]}{sep}"{top}": %s'
+    body = ",".join([_SUBPHASE % (members[m], keys[m])
+                     for m in J[first].tolist()])
+    return f'{{\n  "total": %s,\n  "subphases": [{body}\n  ]\n}}', take
+
+
+def _plan_text(plan: analysis.PhasePlan) -> str:
+    """`json.dumps(_round12(doc), indent=2)` of the plan document
+    {"total", "subphases": [{"subphase", "t", "t_user": {user: t}}]},
+    written in one pass from the plan's arrays: each number rounded to
+    12 significant digits and printed as `json` prints a float."""
+    template, take = _plan_layout(len(plan.sizes))
+    values = np.concatenate(([plan.total], plan.t_sub,
+                             plan.t_user.reshape(-1)))[take]
+    text = map(repr, map(float, map("{:.12g}".format, values.tolist())))
+    if not np.isfinite(values).all():
+        text = (_NOT_FINITE.get(v, v) for v in text)
+    return template % tuple(text)
 
 
 def _emit_csv(rows: list[dict], columns: list[str]) -> None:
@@ -100,7 +156,7 @@ def _cmd_ttot(args) -> int:
 def _cmd_plan(args) -> int:
     cfg = _load(args)
     demand = _parse_demand(cfg, args.demand)
-    _emit_json(analysis.phase_plan(cfg, demand).to_json())
+    print(_plan_text(analysis.phase_plan(cfg, demand)))
     return 0
 
 
@@ -228,7 +284,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was."""
     top = _Parser(prog="ebcache", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="verb", required=True)
 

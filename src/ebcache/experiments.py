@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice
 from math import comb, isfinite, sqrt
 
 import numpy as np
@@ -195,14 +194,32 @@ class MemoryAllocation:
     lower_bound: float = 0.0
 
 
-def _compositions(total: int, parts: int, cap: int):
+def _compositions(total: int, parts: int, cap: int, block: int):
+    """Every way to write `total` as `parts` ordered parts, each in
+    0..cap, in lexicographic order: int arrays of at most `block` rows."""
+    yield from _extend(np.zeros((1, 0), dtype=np.int64), np.array([total]),
+                       parts, cap, block)
+
+
+def _extend(head, rest, parts: int, cap: int, block: int):
+    """The compositions that start with a row of `head` and split its
+    `rest` into `parts` more parts, rows of `head` in turn.  A part
+    leaves no more than the later parts can hold, so every row
+    completes; each step expands at most `block` rows at a time."""
     if parts == 1:
-        if total <= cap:
-            yield (total,)
+        done = np.column_stack((head, rest))[rest <= cap]
+        if len(done):
+            yield done
         return
-    for head in range(min(total, cap) + 1):
-        for rest in _compositions(total - head, parts - 1, cap):
-            yield (head,) + rest
+    lo = np.maximum(rest - cap * (parts - 1), 0)
+    count = np.maximum(np.minimum(rest, cap) - lo + 1, 0)
+    ends = np.cumsum(count)
+    for start in range(0, int(ends[-1]), block):
+        at = np.arange(start, min(start + block, int(ends[-1])))
+        row = np.searchsorted(ends, at, side="right")
+        part = lo[row] + at - (ends[row] - count[row])
+        yield from _extend(np.column_stack((head[row], part)),
+                           rest[row] - part, parts - 1, cap, block)
 
 
 def optimize_memory(cfg: SystemConfig, budget: float, step: float
@@ -231,10 +248,9 @@ def optimize_memory(cfg: SystemConfig, budget: float, step: float
                          f"cells exceeds guard {SEARCH_WORK_GUARD}")
     best = best_lb = float("inf")
     best_mem = best_lb_mem = (0.0,) * cfg.K
-    grid = _compositions(n, cfg.K, cap)
     block = max(1, analysis.BATCH_CELLS // cells)
-    while parts := list(islice(grid, block)):
-        mems = np.array(parts, dtype=float) * step
+    for parts in _compositions(n, cfg.K, cap, block):
+        mems = parts.astype(float) * step
         objs, lbs = analysis.allocation_lengths(cfg, mems)
         best, best_mem = _first_wins(objs, mems, best, best_mem)
         best_lb, best_lb_mem = _first_wins(lbs, mems, best_lb, best_lb_mem)

@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import replace
 from math import inf
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebcache import analysis
+from ebcache import analysis, cli
 from ebcache.analysis import (decomposition_residual,
                               feasibility, miso_dof_coefficient,
                               order_capacity, permutation_dominance,
@@ -292,7 +293,7 @@ def test_phase_plan_full_caches_need_nothing():
 
 
 def test_phase_plan_json_shape():
-    doc = phase_plan(TOY).to_json()
+    doc = json.loads(cli._plan_text(phase_plan(TOY)))
     assert set(doc) == {"total", "subphases"}
     assert {tuple(s["subphase"]) for s in doc["subphases"]} == {(1,), (2,), (1, 2)}
 

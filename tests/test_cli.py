@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from math import inf
 
+import numpy as np
 import pytest
 
 import ebcache
@@ -13,7 +15,8 @@ from ebcache import analysis, cli
 from ebcache.cli import main
 from ebcache.delivery import run_delivery
 from ebcache.experiments import SWEEP_COLUMNS, trial_seeds
-from ebcache.model import MAX_FILE_PACKETS, MAX_K, Demand, load_config
+from ebcache.model import (MAX_FILE_PACKETS, MAX_K, Demand, SystemConfig,
+                           load_config, subsets_ascending, users_of)
 from ebcache.placement import centralized_placement, decentralized_placement
 
 TWO_USER = {"K": 2, "N": 2, "delta": [0.25, 0.5], "mem": [2 / 3, 4 / 3],
@@ -85,6 +88,83 @@ def test_plan_verb(capsys, two_user):
     assert code == 0
     doc = json.loads(out)
     assert doc["total"] == pytest.approx(8 / 7, abs=1e-9)
+
+
+def old_plan_doc(plan):
+    """The plan document as the dict tree `ebcache plan` used to give
+    `_emit_json`."""
+    K = len(plan.sizes)
+    t_user = plan.t_user.reshape(-1)[analysis._cells(K)[0]].tolist()
+    subphases = []
+    at = 0
+    for J in subsets_ascending(K):
+        users = users_of(J)
+        subphases.append({
+            "subphase": list(users), "t": plan.t_sub.tolist()[J],
+            "t_user": dict(zip(map(str, users), t_user[at:at + len(users)]))})
+        at += len(users)
+    return {"total": plan.total, "subphases": subphases}
+
+
+def old_plan_text(plan):
+    return json.dumps(cli._round12(old_plan_doc(plan)), indent=2)
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_plan_text_equals_the_dict_tree_path(K):
+    rng = np.random.default_rng(40 + K)
+    for _ in range(5):
+        sizes = rng.integers(0, 3000, K)
+        sizes[rng.uniform(size=K) < 0.2] = 0
+        cfg = SystemConfig(K=K, N=K, delta=tuple(rng.uniform(0, 0.95, K)),
+                           mem=tuple(rng.uniform(0, K, K)),
+                           file_sizes=tuple(sizes.tolist()))
+        plan = analysis.phase_plan(cfg)
+        assert cli._plan_text(plan) == old_plan_text(plan)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_plan_text_formats_numbers_as_json_does(K):
+    # whole numbers print 1.0, 1e12..1e16 positional, 1e16 and up and
+    # below 1e-4 with an exponent; a zero size plans 0.0; a number that
+    # is not finite prints as _round12 leaves it (null, NaN)
+    values = [1.0, 3.0, 1e12, 1.5e13, 123456789012.5, 999999999999.9,
+              1e15 + 1, 1e16, 2.5e17, 3e-5, 1.23456789e-7, 0.0, -0.0,
+              5e-324, 1e300, 0.1 + 0.2, 2 / 3, inf, -inf, float("nan")]
+    rng = np.random.default_rng(K)
+    for _ in range(4):
+        t_user = rng.choice(values, (K, 1 << K))
+        t_sub = rng.choice(values, 1 << K)
+        plan = analysis.PhasePlan((0.0,) * K, t_user, t_sub,
+                                  float(rng.choice(values)))
+        assert cli._plan_text(plan) == old_plan_text(plan)
+    zero = SystemConfig(K=K, N=K, delta=(0.5,) * K, mem=(0.0,) * K,
+                        file_sizes=(0,) * K)
+    plan = analysis.phase_plan(zero)
+    assert cli._plan_text(plan) == old_plan_text(plan)
+    assert '"t": 0.0' in cli._plan_text(plan)
+
+
+def test_one_parser_serves_every_call(capsys, two_user):
+    # the parser is built once per process; verbs run one after another
+    # through it, a usage error among them, print and exit as each does
+    # in a fresh process
+    assert cli.build_parser() is cli.build_parser()
+    src = os.path.dirname(os.path.dirname(ebcache.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["plan", "--config", two_user],
+                 ["feasible", "--config", two_user, "--rates", "0.78,1.20"],
+                 ["verify", "--K", "two"],
+                 ["plan", "--config", two_user]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ebcache.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout,
+                                            fresh.stderr)
 
 
 def test_simulate_full_with_trace_and_export(capsys, tmp_path, two_user):

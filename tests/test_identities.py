@@ -1,6 +1,8 @@
 """Randomized cross-checks between the recursion, the alternating-sum
 form, the closed forms and the combinatorial ordering claims."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,10 +214,14 @@ def test_identity_suite_draws_one_sided_fair_instances_up_to_K(monkeypatch):
 @pytest.mark.parametrize("check", ["worst_user", "permutation_dominance"])
 def test_identity_suite_reports_a_failed_ordering_check(check, monkeypatch):
     # a worst user other than the first, or a dominance that fails, clears
-    # its flag and fails the suite, while the residuals stay small
-    wrong = {"worst_user": lambda plan, J: J[-1],
-             "permutation_dominance": lambda cfg, r: False}
-    monkeypatch.setattr(analysis, check, wrong[check])
+    # its flag and fails the suite, while the residuals stay small; the
+    # suite reads both checks batched, one call per instance size
+    wrong = {"worst_user": ("_lowest_is_worst",
+                            lambda t: np.zeros(t.shape[::2], dtype=bool)),
+             "permutation_dominance": ("_dominates",
+                                       lambda w, x, top: np.zeros(len(w),
+                                                                  dtype=bool))}
+    monkeypatch.setattr(analysis, *wrong[check])
     rep = analysis.identity_suite(K=3, samples=5, seed=0)
     assert rep.max_residual < analysis.IDENTITY_TOL and not rep.ok()
     assert (rep.worst_user_ok, rep.dominance_ok) == (
@@ -224,16 +230,61 @@ def test_identity_suite_reports_a_failed_ordering_check(check, monkeypatch):
 
 def test_identity_suite_catches_a_wrong_plan(monkeypatch):
     # one length of every plan off by a relative 1e-6 shows in both
-    # residuals that read the plan, and fails the suite
-    plan_of = analysis.phase_plan
+    # residuals that read the plan, and fails the suite; the suite plans
+    # each instance size as one batch
+    tables = analysis._plan_tables
 
-    def wrong(*args, **kwargs):
-        plan = plan_of(*args, **kwargs)
-        plan.t_user.reshape(-1)[plan.t_user.argmax()] *= 1 + 1e-6
-        return plan
+    def wrong(*args):
+        t = tables(*args)
+        for plan in t:
+            plan.reshape(-1)[plan.argmax()] *= 1 + 1e-6
+        return t
 
-    monkeypatch.setattr(analysis, "phase_plan", wrong)
+    monkeypatch.setattr(analysis, "_plan_tables", wrong)
     rep = analysis.identity_suite(K=4, samples=20, seed=0)
     assert rep.residuals["alternating_vs_recursion"] > analysis.IDENTITY_TOL
     assert rep.residuals["aggregate_identity"] > analysis.IDENTITY_TOL
     assert not rep.ok()
+
+
+def test_identity_suite_reads_every_instance_of_a_batch(monkeypatch):
+    # only the last instance of each size is off, and still shows
+    tables = analysis._plan_tables
+
+    def wrong(*args):
+        t = tables(*args)
+        t[-1].reshape(-1)[t[-1].argmax()] *= 1 + 1e-6
+        return t
+
+    monkeypatch.setattr(analysis, "_plan_tables", wrong)
+    rep = analysis.identity_suite(K=4, samples=20, seed=0)
+    assert rep.residuals["alternating_vs_recursion"] > analysis.IDENTITY_TOL
+    assert rep.residuals["aggregate_identity"] > analysis.IDENTITY_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 10_000))
+def test_batched_worst_user_rule_equals_the_loop(K, seed):
+    # near-ties: the other members' lengths are set in turn to twice,
+    # once or half the loop's 1e-12 tolerance above the lowest member's,
+    # to half or twice it below, to it exactly, or left as planned
+    rng = np.random.default_rng(seed)
+    plans = [phase_plan(cfg_of(rng.uniform(0, 0.95, K), rng.uniform(0, 1, K)),
+                        sizes=rng.uniform(0.1, 3.0, K)) for _ in range(4)]
+    steps = itertools.cycle((2.0, -0.5, 0.5, None, 1.0, 0.0, -2.0))
+    for plan in plans:
+        for Jm in subsets_ascending(K):
+            J = users_of(Jm)
+            v = plan.t_user[J[0] - 1, Jm]
+            for k in J[1:]:
+                step = next(steps)
+                if step is not None:
+                    plan.t_user[k - 1, Jm] = v + step * 1e-12 * max(1.0, v)
+    batched = analysis._lowest_is_worst(np.stack([p.t_user for p in plans]))
+    loop = np.ones_like(batched)
+    for b, plan in enumerate(plans):
+        for Jm in subsets_ascending(K):
+            J = users_of(Jm)
+            loop[b, Jm] = worst_user(plan, J) == J[0]
+    assert (batched == loop).all()
+    assert not loop.all()

@@ -1,7 +1,7 @@
 """The array planner and the batched lattice maximum against loop
 references: the nested-loop recursion over subset pairs (O(3^K)), the
-lattice maximum as one loop over masks and users, and `optimize_memory`
-as one plan per allocation."""
+lattice maximum as one loop over masks and users, `optimize_memory`
+as one plan per allocation, and its grid as a recursive generator."""
 
 from math import inf
 
@@ -160,12 +160,41 @@ def test_batched_lattice_maximum_equals_the_loop(K):
     assert ttot_closed_form(tied)[1] == tuple(range(1, K + 1))
 
 
+def loop_compositions(total, parts, cap):
+    """Every way to write `total` as `parts` parts in 0..cap, one tuple
+    at a time, in lexicographic order."""
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for head in range(min(total, cap) + 1):
+        for rest in loop_compositions(total - head, parts - 1, cap):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize("total, parts, cap", [
+    (0, 1, 0), (5, 1, 9), (5, 1, 4), (0, 4, 3), (7, 3, 7), (7, 3, 3),
+    (12, 4, 3), (13, 4, 3), (10, 5, 2), (20, 4, 10), (9, 2, 100),
+])
+@pytest.mark.parametrize("block", [1, 3, 64, 10_000])
+def test_compositions_blocks_equal_the_recursive_generator(total, parts,
+                                                           cap, block):
+    # same rows in the same order (optimize_memory's first minimum wins
+    # by it), blocks of 1..block rows; the cap binds at (7, 3, 3),
+    # (12, 4, 3) (one row) and (10, 5, 2), and leaves no row at all at
+    # (5, 1, 4) and (13, 4, 3)
+    blocks = list(_compositions(total, parts, cap, block))
+    assert all(1 <= len(b) <= block for b in blocks)
+    rows = [tuple(r) for b in blocks for r in b.tolist()]
+    assert rows == list(loop_compositions(total, parts, cap))
+
+
 def loop_optimize(cfg, budget, step):
     n = round(budget / step)
     cap = int(cfg.N / step + 1e-9)
     best = best_lb = inf
     best_mem = best_lb_mem = (0.0,) * cfg.K
-    for parts in _compositions(n, cfg.K, cap):
+    for parts in loop_compositions(n, cfg.K, cap):
         mem = tuple(p * step for p in parts)
         trial = cfg.with_mem(mem)
         sizes = [float(f) for f in trial.file_sizes[:cfg.K]]
