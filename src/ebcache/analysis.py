@@ -26,7 +26,9 @@ of the complemented weights (the alternating sums of region weights),
 one zeta transform of the plans (the aggregate identity), one lattice
 maximum (plan total against closed form, permutation dominance) and one
 worst-user comparison per size; at K = 6 the transforms of a batch of
-20 take about 1 ms, against about 0.25 ms for one instance alone.
+20 take about 1 ms, against about 0.25 ms for one instance alone.  Its
+fixed-grid checks (capacity decomposition, phase-start recursion) draw
+nothing, so they run once per process.
 
 Everything here is pure float arithmetic; the packet-level simulator in
 `delivery` provides the independent stochastic cross-check.
@@ -625,6 +627,19 @@ class IdentityReport:
                 and self.dominance_ok)
 
 
+@lru_cache(maxsize=1)
+def _fixed_grid_residuals() -> tuple[float, float]:
+    """The largest capacity-decomposition and phase-start residuals over
+    K = 2..8 and nine erasure probabilities: no randomness, so a process
+    computes them once for every `identity_suite` call."""
+    r_dec = r_rec = 0.0
+    for kk in range(2, 9):
+        for dd in np.linspace(0.1, 0.9, 9):
+            r_dec = max(r_dec, decomposition_residual(kk, float(dd), 1.0))
+            r_rec = max(r_rec, order_recursion_residual(kk, float(dd), 1.0))
+    return r_dec, r_rec
+
+
 def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityReport:
     """Randomized verification of the internal identities: alternating sum
     vs recursion, the weights lemma, the aggregate-length identity, the
@@ -676,13 +691,8 @@ def identity_suite(K: int = 4, samples: int = 200, seed: int = 0) -> IdentityRep
     rep.residuals["aggregate_identity"] = r_agg
     rep.residuals["weights_lemma"] = r_lem
 
-    r_dec = r_rec = 0.0
-    for kk in range(2, 9):
-        for dd in np.linspace(0.1, 0.9, 9):
-            r_dec = max(r_dec, decomposition_residual(kk, float(dd), 1.0))
-            r_rec = max(r_rec, order_recursion_residual(kk, float(dd), 1.0))
-    rep.residuals["capacity_decomposition"] = r_dec
-    rep.residuals["phase_start_recursion"] = r_rec
+    (rep.residuals["capacity_decomposition"],
+     rep.residuals["phase_start_recursion"]) = _fixed_grid_residuals()
 
     def fair():
         kk = int(rng.integers(2, K + 1))

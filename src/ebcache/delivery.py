@@ -119,9 +119,17 @@ class ChannelStream:
 
     def state(self) -> int:
         """The receiver set of the next slot, consumed."""
-        s = self.rows(1)[1][0]
-        self.pos += 1
-        return int(s)
+        return int(self.consume(1)[0])
+
+    def consume(self, n: int) -> np.ndarray:
+        """The receiver sets of the next n slots, consumed; once every
+        drawn row is consumed, the stream holds none of them."""
+        s = self.rows(n)[1]
+        self.pos += n
+        if self.pos == len(self.states):
+            self.recv = self.recv[:0].copy()
+            self.states, self.pos = _NO_I64, 0
+        return s
 
 
 def promotion_keys(src, dst, k0):

@@ -1,9 +1,16 @@
 """Monte Carlo harness, parameter sweeps and cache-size allocation
 search.
 
-All randomness flows from one base seed through SeedSequence spawning, so
-identical specs give bit-identical tables regardless of worker count.
-Demands are fixed to user k requesting file k throughout.
+All randomness flows from one base seed through SeedSequence spawning,
+one placement and one delivery seed per trial, so identical specs give
+bit-identical tables regardless of worker count or batching.  Demands
+are fixed to user k requesting file k throughout, so a decentralized
+trial draws only files 1..K, the first its placement generator fills.
+Trials that share K and the erasure probabilities go to
+`fastsim.simulate_lengths` as one stack of needs tables, at most
+`fastsim.batch_trials(K)` at a time; with more than one worker process,
+each such group is split into one part per worker, and a sweep runs all
+its grid points' trials through one pool.
 """
 
 from __future__ import annotations
@@ -54,34 +61,80 @@ def trial_seeds(seed: int | np.random.SeedSequence) -> tuple[int, int]:
     return pseed, dseed
 
 
-def _one_trial(args) -> float:
-    cfg, scheme, pseed, sseed = args
-    if scheme == "centralized":
-        pm = centralized_placement(cfg)
+def _trials(cfg: SystemConfig, scheme: str, trials: int, seed: int) -> list:
+    """One Monte Carlo run's trials: (config, scheme, placement seed,
+    delivery seed) each, from `seed` spawned once per trial."""
+    return [(cfg, scheme, *trial_seeds(child))
+            for child in np.random.SeedSequence(seed).spawn(trials)]
+
+
+def _slots(tasks: list, jobs: int) -> list[int]:
+    """Each trial's slot count, in order.  Trials that share K and the
+    erasure probabilities are simulated as batches, each such group split
+    into one part per worker process; at most `jobs` of them run, never
+    more than there are trials or CPUs."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (cfg, *_) in enumerate(tasks):
+        groups.setdefault((cfg.K, cfg.delta), []).append(i)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    parts = [part.tolist() for group in groups.values()
+             for part in np.array_split(group, min(workers, len(group)))]
+    batches = [[tasks[i] for i in part] for part in parts]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_batch_slots, batches))
     else:
-        pm = decentralized_placement(cfg, pseed)
-    res = fastsim.run_delivery_lengths(cfg, pm, seed=sseed)
-    return res.slots_total / cfg.mean_file_size
+        done = map(_batch_slots, batches)
+    slots = [0] * len(tasks)
+    for part, counts in zip(parts, done):
+        for i, n in zip(part, counts):
+            slots[i] = n
+    return slots
+
+
+def _batch_slots(tasks: list) -> list[int]:
+    """Slot counts of trials that share K and the erasure probabilities."""
+    cfg = tasks[0][0]
+    return _simulate(cfg.K, cfg.delta, [dseed for *_, dseed in tasks],
+                     lambda t: _identity_needs(*tasks[t][:3]))
+
+
+def _simulate(K: int, delta, dseeds: list, needs) -> list[int]:
+    """Slot counts of trials on the delivery seeds `dseeds`, simulated
+    `fastsim.batch_trials(K)` at a time; `needs(t)` gives trial t's
+    initial needs table."""
+    size = fastsim.batch_trials(K)
+    slots = []
+    for lo in range(0, len(dseeds), size):
+        part = range(lo, min(lo + size, len(dseeds)))
+        slots += fastsim.simulate_lengths(
+            K, delta, np.stack([needs(t) for t in part]),
+            dseeds[lo:part.stop]).slots
+    return slots
+
+
+def _identity_needs(cfg: SystemConfig, scheme: str, pseed: int
+                    ) -> np.ndarray:
+    """A trial's initial needs table, user k requesting file k.  Those
+    are files 1..K, the first the placement generator fills, so a
+    decentralized trial draws only them."""
+    pm = (centralized_placement(cfg) if scheme == "centralized"
+          else decentralized_placement(cfg, pseed, files=cfg.K))
+    return fastsim.initial_needs(cfg, pm)
 
 
 def monte_carlo(cfg: SystemConfig, trials: int = DEFAULT_TRIALS, seed: int = 0,
                 scheme: str = "decentralized", jobs: int = 1
                 ) -> MonteCarloResult:
     """Mean delivery length in file units over independent seeded trials,
-    with a 95% confidence half-width.  User k requests file k.  At most
-    `jobs` worker processes run the trials, never more than there are
-    trials or CPUs; the results do not depend on how many."""
+    with a 95% confidence half-width.  User k requests file k.  The
+    trials run as batches, split among at most `jobs` worker processes,
+    never more than there are trials or CPUs; the results do not depend
+    on how many, nor on the batches."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(trials)
-    tasks = [(cfg, scheme, *trial_seeds(child)) for child in children]
-    workers = min(jobs, trials, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_one_trial, tasks))
-    else:
-        values = [_one_trial(t) for t in tasks]
-    return _summary(values, seed)
+    slots = _slots(_trials(cfg, scheme, trials, seed), jobs)
+    return _summary([n / cfg.mean_file_size for n in slots], seed)
 
 
 def order_capacity_trial(K: int, delta: float, order: int, n_packets: int,
@@ -90,13 +143,10 @@ def order_capacity_trial(K: int, delta: float, order: int, n_packets: int,
     every subset of that size is seeded and the pipeline entered there."""
     needs = fastsim.order_start_needs(K, order, n_packets)
     total_symbols = comb(K, order) * n_packets
-    children = np.random.SeedSequence(seed).spawn(trials)
-    values = []
-    for child in children:
-        _, dseed = trial_seeds(child)
-        res = fastsim.simulate_lengths(K, (delta,) * K, needs, dseed)
-        values.append(total_symbols / res.slots_total)
-    return _summary(values, seed)
+    dseeds = [trial_seeds(child)[1]
+              for child in np.random.SeedSequence(seed).spawn(trials)]
+    slots = _simulate(K, (delta,) * K, dseeds, lambda t: needs)
+    return _summary([total_symbols / n for n in slots], seed)
 
 
 @dataclass
@@ -153,19 +203,21 @@ def _symmetric(cfg: SystemConfig) -> bool:
 def sweep(spec: SweepSpec) -> list[dict]:
     """One row per grid point: analytic lengths (with and without
     feedback, centralized when defined) and the simulated mean, all
-    normalized by the file size."""
-    rows = []
+    normalized by the file size.  Every point's trials go to the
+    simulator together, through one worker pool when `spec.jobs` > 1, so
+    points of one K and one set of erasure probabilities share batches."""
+    rows, points = [], []
     row_seeds = np.random.SeedSequence(spec.seed).generate_state(len(spec.grid))
     for idx, value in enumerate(spec.grid):
         row: dict = {"param": value, "trials": spec.trials, "F": spec.F,
                      "seed": spec.seed}
+        rows.append(row)
         try:
             cfg = _config_at(spec, value)
             if spec.scheme == "centralized":
                 centralized_placement(cfg)      # ValueError if it has none
         except ValueError as exc:               # a ConfigError included
             row["error"] = str(exc)
-            rows.append(row)
             continue
         F = float(spec.F)
         t_fb, _ = analysis.ttot_closed_form(cfg)
@@ -177,11 +229,14 @@ def sweep(spec: SweepSpec) -> list[dict]:
             if abs(b - round(b)) < 1e-9:
                 row["T_cent"] = analysis.ttot_centralized(
                     cfg.K, cfg.delta[0], cfg.mem[0], cfg.N, F) / F
-        mc = monte_carlo(cfg, trials=spec.trials, seed=int(row_seeds[idx]),
-                         scheme=spec.scheme, jobs=spec.jobs)
+        seed = int(row_seeds[idx])
+        points.append((row, cfg, seed,
+                       _trials(cfg, spec.scheme, spec.trials, seed)))
+    slots = iter(_slots([t for *_, tasks in points for t in tasks], spec.jobs))
+    for row, cfg, seed, tasks in points:
+        mc = _summary([next(slots) / cfg.mean_file_size for _ in tasks], seed)
         row["T_sim_mean"] = mc.mean
         row["T_sim_ci95"] = mc.ci95
-        rows.append(row)
     return rows
 
 

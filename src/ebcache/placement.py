@@ -49,33 +49,40 @@ class PlacementMap:
         }
 
 
-def validate_placement(cfg: SystemConfig, pm: PlacementMap) -> None:
+def validate_placement(cfg: SystemConfig, pm: PlacementMap,
+                       files: int | None = None) -> None:
     """ConfigError unless the placement caches the config's files: K
-    users, N files, each with as many packets as the config gives it."""
+    users, N files, each with as many packets as the config gives it.
+    With `files`, a placement of files 1..n for any n from `files` to N
+    passes too, as `decentralized_placement(cfg, seed, files=n)` draws."""
     bad = []
     if pm.K != cfg.K:
         bad.append(f"K {pm.K} (config {cfg.K})")
     sizes = tuple(len(m) for m in pm.cache_masks)
-    if len(sizes) != cfg.N:
+    if not (cfg.N if files is None else files) <= len(sizes) <= cfg.N:
         bad.append(f"{len(sizes)} files (config {cfg.N})")
-    elif sizes != cfg.file_sizes:
+    elif sizes != cfg.file_sizes[:len(sizes)]:
         bad.append(f"file sizes {list(sizes)} (config "
-                   f"{list(cfg.file_sizes)})")
+                   f"{list(cfg.file_sizes[:len(sizes)])})")
     if bad:
         raise ConfigError(f"placement does not fit the config: "
                           f"{', '.join(bad)}")
 
 
-def decentralized_placement(cfg: SystemConfig, seed: int) -> PlacementMap:
+def decentralized_placement(cfg: SystemConfig, seed: int,
+                            files: int | None = None) -> PlacementMap:
     """Each user caches each packet independently with probability
-    M_k / N; deterministic given the seed.  A file's (F, K) doubles are
-    drawn PLACEMENT_BLOCK packets at a time, which bounds the temporaries;
-    numpy fills doubles in order, so the masks do not depend on it."""
+    M_k / N; deterministic given the seed.  Files are drawn in order, so
+    files 1..n have the same masks whatever follows them: with `files`
+    = n only those are drawn, and the map holds only them.  A file's
+    (F, K) doubles are drawn PLACEMENT_BLOCK packets at a time, which
+    bounds the temporaries; numpy fills doubles in order, so the masks do
+    not depend on it."""
     rng = np.random.default_rng(seed)
     p = np.asarray(cfg.p)
     powers = (1 << np.arange(cfg.K)).astype(np.uint32)
     masks = []
-    for F in cfg.file_sizes:
+    for F in cfg.file_sizes[:files]:
         mask = np.empty(F, dtype=np.uint32)
         for lo in range(0, F, PLACEMENT_BLOCK):
             bits = rng.random((min(PLACEMENT_BLOCK, F - lo), cfg.K)) < p

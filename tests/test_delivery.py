@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import time
@@ -813,7 +814,7 @@ def test_both_simulators_agree_slot_for_slot_at_large_K(K, seed):
 
 def test_fastsim_chunk_bounds_change_no_result(monkeypatch):
     # chunks only set the speed: bounds of 1..16 slots give the same
-    # outputs as 128..8192 (`_SLOTS` is derived from `_CHUNK`)
+    # outputs as 32..8192 (`_SLOTS` is derived from `_CHUNK`)
     K, delta = 3, (0.3, 0.5, 0.7)
     cases = [initial_needs(cfg, decentralized_placement(cfg, 4))
              for cfg in [cfg_of(delta, (0.4, 0.5, 0.6), 3000)]]
@@ -825,6 +826,70 @@ def test_fastsim_chunk_bounds_change_no_result(monkeypatch):
     got = [simulate_lengths(K, delta, needs, seed=6) for needs in cases]
     assert got == want
 
+
+
+def batch_needs(K, data):
+    """A needs table for a batch trial: nothing pending, an order start,
+    or the demanded files of a drawn placement."""
+    kind = data.draw(st.sampled_from(["empty", "order", "placement"]))
+    if kind == "empty":
+        return np.zeros((1 << K, K), dtype=np.int64)
+    if kind == "order":
+        n = data.draw(st.integers(0, 400 if K <= 3 else 60))
+        return order_start_needs(K, data.draw(st.integers(1, K)), n)
+    N = K + data.draw(st.integers(0, 2))
+    cfg = SystemConfig(K=K, N=N, delta=(0.5,) * K,
+                       mem=tuple(data.draw(st.lists(st.floats(0.0, N),
+                                                    min_size=K, max_size=K))),
+                       file_sizes=tuple(data.draw(st.lists(
+                           st.integers(0, 40), min_size=N, max_size=N))))
+    return initial_needs(cfg, decentralized_placement(
+        cfg, data.draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.booleans(), st.data())
+def test_batched_trials_are_their_own_runs(K, T, small, data):
+    # every trial of a batch gets the slot counts it gets alone, and so
+    # its slot-by-slot replay: trials with nothing pending, K = 1, and,
+    # with chunks and steps made small, trials that finish in different
+    # steps; the lone runs, folding every few promotions, keep the
+    # replay's promotions
+    delta = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9])
+                               | st.floats(0.0, 0.95), min_size=K, max_size=K))
+    needs = [batch_needs(K, data) for _ in range(T)]
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=T,
+                               max_size=T))
+    with contextlib.ExitStack() as stack:
+        if small:
+            stack.enter_context(mock.patch.multiple(
+                fastsim, _MIN_CHUNK=1, _CHUNK=16,
+                _SLOTS=np.arange(16)[:, None], _STEP_CELLS=24))
+            stack.enter_context(mock.patch.object(fastsim._Promotions,
+                                                  "FOLD", 3))
+        batch = simulate_lengths(K, delta, np.stack(needs), seeds)
+        alone = [simulate_lengths(K, delta, n, s)
+                 for n, s in zip(needs, seeds)]
+    assert batch.slots == [res.slots_total for res in alone]
+    assert batch.slots_total == sum(batch.slots)
+    assert batch.slots_per_subphase == {
+        (t, J): n for t, res in enumerate(alone)
+        for J, n in res.slots_per_subphase.items()}
+    for res, n, s in zip(alone, needs, seeds):
+        total, per_subphase, transfers = replay_lengths(K, delta, n, s)
+        assert res.slots_total == total
+        assert list(res.slots_per_subphase.items()) == list(
+            per_subphase.items())
+        assert res.realized_transfers == transfers
+
+
+def test_simulate_lengths_refuses_tables_that_do_not_fit():
+    needs = np.stack([order_start_needs(3, 2, 5)] * 2)
+    with pytest.raises(ValueError, match=r"needs must have shape \(3, 8, 3\)"):
+        simulate_lengths(3, (0.5,) * 3, needs, [1, 2, 3])
+    with pytest.raises(ValueError, match=r"needs must have shape \(16, 4\)"):
+        simulate_lengths(4, (0.5,) * 4, needs[0], 1)
+    assert simulate_lengths(3, (0.5,) * 3, needs[:0], []).slots == []
 
 
 def _engine_outputs(cfg, seed):

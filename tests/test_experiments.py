@@ -1,9 +1,14 @@
+from dataclasses import replace
+from math import comb
+
+import numpy as np
 import pytest
 
-from ebcache import analysis, experiments
+from ebcache import analysis, experiments, fastsim
 from ebcache.experiments import (SweepSpec, monte_carlo, optimize_memory,
                                  order_capacity_trial, sweep)
 from ebcache.model import SystemConfig
+from ebcache.placement import centralized_placement, decentralized_placement
 
 
 def cfg_of(delta, p, N=None, F=1000):
@@ -145,6 +150,139 @@ def test_sweep_spec_validation():
         SweepSpec(varying="q", grid=[1], base=base)
     with pytest.raises(ValueError):
         SweepSpec(varying="mem", grid=[1], base=base, trials=0)
+
+
+# -- the per-trial Monte Carlo path, the oracle of the batched one ---------
+
+
+def loop_monte_carlo(cfg, trials, seed, scheme="decentralized"):
+    """Each trial run alone: every file of the placement drawn, then one
+    `simulate_lengths` from the needs table of the whole placement."""
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        pseed, dseed = experiments.trial_seeds(child)
+        pm = (centralized_placement(cfg) if scheme == "centralized"
+              else decentralized_placement(cfg, pseed))
+        res = fastsim.simulate_lengths(cfg.K, cfg.delta,
+                                       fastsim.initial_needs(cfg, pm), dseed)
+        values.append(res.slots_total / cfg.mean_file_size)
+    return values
+
+
+def loop_order_capacity(K, delta, order, n_packets, trials, seed):
+    needs = fastsim.order_start_needs(K, order, n_packets)
+    return [comb(K, order) * n_packets / fastsim.simulate_lengths(
+        K, (delta,) * K, needs, experiments.trial_seeds(child)[1]).slots_total
+        for child in np.random.SeedSequence(seed).spawn(trials)]
+
+
+def loop_sweep(spec):
+    """The sweep one grid point at a time, each point's trials alone."""
+    rows = []
+    row_seeds = np.random.SeedSequence(spec.seed).generate_state(
+        len(spec.grid))
+    for idx, value in enumerate(spec.grid):
+        row = {"param": value, "trials": spec.trials, "F": spec.F,
+               "seed": spec.seed}
+        try:
+            cfg = experiments._config_at(spec, value)
+            if spec.scheme == "centralized":
+                centralized_placement(cfg)
+        except ValueError as exc:
+            row["error"] = str(exc)
+            rows.append(row)
+            continue
+        F = float(spec.F)
+        row["T_fb"] = analysis.ttot_closed_form(cfg)[0] / F
+        if experiments._symmetric(cfg):
+            row["T_nofb"] = analysis.ttot_no_feedback(
+                cfg.K, cfg.delta[0], cfg.mem[0], cfg.N, F, spec.scheme) / F
+            b = cfg.mem[0] * cfg.K / cfg.N
+            if abs(b - round(b)) < 1e-9:
+                row["T_cent"] = analysis.ttot_centralized(
+                    cfg.K, cfg.delta[0], cfg.mem[0], cfg.N, F) / F
+        mc = experiments._summary(loop_monte_carlo(
+            cfg, spec.trials, int(row_seeds[idx]), spec.scheme),
+            int(row_seeds[idx]))
+        row["T_sim_mean"] = mc.mean
+        row["T_sim_ci95"] = mc.ci95
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("cfg, scheme", [
+    (cfg_of((0.4, 0.7), (0.5, 0.2), F=300), "decentralized"),
+    (cfg_of((0.3, 0.5, 0.6), (0.5, 0.3, 0.1), N=5, F=200), "decentralized"),
+    (SystemConfig(K=3, N=6, delta=(0.2, 0.5, 0.8), mem=(1.0, 4.5, 6.0),
+                  file_sizes=(50, 0, 120, 7, 300, 90)), "decentralized"),
+    (cfg_of((0.0,), (0.5,), N=3, F=100), "decentralized"),
+    (SystemConfig(K=3, N=6, delta=(0.5,) * 3, mem=(2.0,) * 3,
+                  file_sizes=(120,) * 6), "centralized")])
+def test_monte_carlo_matches_each_trial_run_alone(cfg, scheme, jobs):
+    res = monte_carlo(cfg, trials=5, seed=11, scheme=scheme, jobs=jobs)
+    assert res.per_trial == loop_monte_carlo(cfg, 5, 11, scheme)
+
+
+@pytest.mark.parametrize("K, order", [(3, 2), (2, 1), (1, 1), (4, 3)])
+def test_order_capacity_matches_each_trial_run_alone(K, order):
+    res = order_capacity_trial(K, 0.4, order, 800, trials=4, seed=5)
+    assert res.per_trial == loop_order_capacity(K, 0.4, order, 800, 4, 5)
+
+
+SWEEPS = {
+    "delta": SweepSpec(varying="delta", grid=[0.0, 0.3, 0.9, 1.5],
+                       base=cfg_of((0.5,) * 3, (0.25,) * 3, N=6),
+                       trials=3, F=300, seed=4),
+    "mem": SweepSpec(varying="mem", grid=[0, 2, 3, 6, 7],
+                     base=cfg_of((0.6,) * 3, (0.0,) * 3, N=6),
+                     trials=3, F=300, seed=5),
+    "K": SweepSpec(varying="K", grid=[1, 2, 3, 4],
+                   base=cfg_of((0.4,) * 2, (0.25,) * 2, N=6),
+                   trials=2, F=240, seed=6),
+    "centralized": SweepSpec(varying="mem", grid=[0, 2, 3, 6],
+                             base=cfg_of((0.5,) * 3, (0.0,) * 3, N=6),
+                             trials=3, F=300, seed=7, scheme="centralized"),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_matches_each_point_run_alone(name, jobs):
+    spec = replace(SWEEPS[name], jobs=jobs)
+    assert sweep(spec) == loop_sweep(spec)
+
+
+def test_sweep_uses_one_worker_pool(monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    spec = replace(SWEEPS["delta"], jobs=3)
+    assert sweep(spec) == loop_sweep(spec)
+    assert RecordingExecutor.sizes == [3]
+
+
+def test_batches_split_by_the_cell_cap_change_no_result(monkeypatch):
+    cfg = cfg_of((0.3, 0.5, 0.6), (0.5, 0.3, 0.1), N=5, F=200)
+    want = loop_monte_carlo(cfg, 7, 2)
+    monkeypatch.setattr(fastsim, "BATCH_CELLS", 1)     # one trial a batch
+    assert fastsim.batch_trials(cfg.K) == 1
+    assert monte_carlo(cfg, trials=7, seed=2).per_trial == want
+
+
+def test_a_trial_draws_only_the_files_its_users_read(monkeypatch):
+    drawn = []
+
+    def recording(cfg, seed, files=None):
+        pm = decentralized_placement(cfg, seed, files)
+        drawn.append(len(pm.cache_masks))
+        return pm
+
+    monkeypatch.setattr(experiments, "decentralized_placement", recording)
+    cfg = cfg_of((0.3, 0.5), (0.5, 0.5), N=30, F=100)
+    res = monte_carlo(cfg, trials=4, seed=1)
+    assert res.per_trial == loop_monte_carlo(cfg, 4, 1)
+    assert drawn == [cfg.K] * 4
 
 
 def test_optimize_memory_full_budget_needs_nothing():

@@ -247,6 +247,26 @@ def test_identity_suite_catches_a_wrong_plan(monkeypatch):
     assert not rep.ok()
 
 
+def test_identity_suite_fixed_grid_runs_once_and_still_catches(monkeypatch):
+    # the capacity-decomposition and phase-start residuals draw nothing,
+    # so a process computes them once; a wrong decomposition_residual
+    # still fails the suite once that cache is cleared
+    analysis._fixed_grid_residuals.cache_clear()
+    assert analysis._fixed_grid_residuals() == \
+        analysis._fixed_grid_residuals.__wrapped__()
+    monkeypatch.setattr(analysis, "decomposition_residual",
+                        lambda K, delta, n_first: 1e-6)
+    try:
+        cached = analysis.identity_suite(K=3, samples=5, seed=0)
+        analysis._fixed_grid_residuals.cache_clear()
+        rep = analysis.identity_suite(K=3, samples=5, seed=0)
+    finally:
+        analysis._fixed_grid_residuals.cache_clear()
+    assert cached.ok()
+    assert rep.residuals["capacity_decomposition"] == 1e-6
+    assert not rep.ok()
+
+
 def test_identity_suite_reads_every_instance_of_a_batch(monkeypatch):
     # only the last instance of each size is off, and still shows
     tables = analysis._plan_tables

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ebcache import analysis, delivery, fastsim, placement
-from ebcache.model import ConfigError, SystemConfig
+from ebcache.model import ConfigError, Demand, SystemConfig
 from ebcache.placement import (centralized_placement, decentralized_placement,
                                unknown_fraction)
 
@@ -162,3 +162,33 @@ def test_a_placement_of_other_files_is_refused(other):
         with pytest.raises(ConfigError, match="placement does not fit"):
             use(cfg, pm)
     placement.validate_placement(cfg, decentralized_placement(cfg, 1))
+
+
+def test_the_first_files_of_a_placement_are_drawn_alone():
+    # files are drawn in order, so files 1..n come out the same without
+    # the rest; the first crosses a PLACEMENT_BLOCK boundary
+    cfg = SystemConfig(K=3, N=5, delta=(0.3,) * 3, mem=(1.0, 2.0, 4.0),
+                       file_sizes=(placement.PLACEMENT_BLOCK + 7, 0, 5, 40, 9))
+    whole = decentralized_placement(cfg, 8)
+    for n in range(cfg.N + 1):
+        part = decentralized_placement(cfg, 8, files=n)
+        assert len(part.cache_masks) == n
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(part.cache_masks, whole.cache_masks))
+        placement.validate_placement(cfg, part, files=n)
+        if n < cfg.N:
+            with pytest.raises(ConfigError, match=f"{n} files"):
+                placement.validate_placement(cfg, part)
+            with pytest.raises(ConfigError, match=f"{n} files"):
+                placement.validate_placement(cfg, part, files=n + 1)
+    # a placement that stops after the demanded files gives their needs
+    part = decentralized_placement(cfg, 8, files=3)
+    assert np.array_equal(fastsim.initial_needs(cfg, part),
+                          fastsim.initial_needs(cfg, whole))
+    with pytest.raises(ConfigError, match="placement does not fit"):
+        fastsim.initial_needs(cfg, part, Demand((1, 2, 5)))
+    first = whole.cache_masks
+    short = placement.PlacementMap("decentralized", 3,
+                                   [first[0], first[1], first[2][1:]])
+    with pytest.raises(ConfigError, match="file sizes"):
+        fastsim.initial_needs(cfg, short)
