@@ -379,11 +379,13 @@ def phase_plan(cfg: SystemConfig, demand: Demand | None = None,
 
     Sub-file sizes default to their decentralized expectations; passing a
     PlacementMap substitutes realized counts for finite-size comparison.
+    It may hold only files 1..n, up to the last file the demand reads, as
+    `fastsim.initial_needs` takes it.
     """
     F = _sizes_for(cfg, demand, sizes)
     if placement is not None:
         demand = demand_for(cfg, demand)
-        validate_placement(cfg, placement)
+        validate_placement(cfg, placement, files=max(demand.assignment))
         counts = np.array([placement.subset_counts(demand.file_of(k))
                            for k in range(1, cfg.K + 1)], dtype=float)
         _, user, _, rest, _, _ = _cells(cfg.K)

@@ -38,9 +38,16 @@ it banked in its own pools, the pool where it needs each atom and every
 promotion are all read from the table.
 
 The slot loop looks at the channel states in chunks and consumes only
-the slots it used.  A pool combines only atoms seated before it started,
-so its combinations enter the table when it ends, in one pass, their
-payloads from one `gf_dot` call, one segment each.
+the slots it used.  A multicast pool goes by steps, the runs of slots
+between two regroups: a step ends at the first slot where a member
+finishes, a part of the exact split runs out, or a head moves to a group
+that did not exist.  Until then no part receives an atom, so one
+cumulative sum over the chunk gives every slot's combination and where
+the step ends; a step cut by the end of a chunk goes on over the next.
+A pool combines only atoms seated before it started, so it keeps each
+step's slots and combinations as arrays, and they enter the table when
+the pool ends, in one pass, their payloads from `gf_dot` calls of about
+FOLD_CHUNK products, one segment each.
 
 Decoding solves each user's banked equations by peeling.  A user's rows
 are built in one sparse layout (each entry's row, column, coefficient,
@@ -60,7 +67,6 @@ under the residual and reduces again.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -75,8 +81,7 @@ CLEANUP_BUDGET_PER_USER = 64
 SLOT_CHUNK = 256        # channel states per look of the slot loop
 _NO_I64 = np.empty(0, dtype=np.int64)
 _NO_U8 = np.empty(0, dtype=np.uint8)
-_ONES = np.ones(MAX_K, dtype=np.uint8)  # an XOR's coefficients
-_ONES.flags.writeable = False
+_any = np.logical_or.reduce     # any(axis=0), also over no rows
 
 
 class DeliveryError(Exception):
@@ -297,11 +302,12 @@ class _Engine:
         self.want[atom] = needed_mask
         pools, atoms = np.broadcast_arrays(np.atleast_1d(pool_mask),
                                            np.atleast_1d(atom))
-        order = np.argsort(pools, kind="stable")
-        keys, starts = np.unique(pools[order], return_index=True)
-        for pool, group in zip(keys.tolist(),
-                               np.split(atoms[order], starts[1:])):
-            self.queue.setdefault(pool, []).append(group)
+        order = pools.argsort(kind="stable")
+        pools, atoms = pools[order], atoms[order]
+        cuts = [0, *((pools[1:] != pools[:-1]).nonzero()[0] + 1).tolist()]
+        for a, b in zip(cuts, cuts[1:] + [len(pools)]):
+            if a < b:
+                self.queue.setdefault(int(pools[a]), []).append(atoms[a:b])
 
     # -- channel -----------------------------------------------------------
 
@@ -368,105 +374,153 @@ class _Engine:
                             "deliver" if S >> k0 & 1 else "promote")
 
     def _run_multicast(self, pool_mask: int, atoms: np.ndarray) -> None:
-        needed = self.want[atoms]
-        r = [int(np.count_nonzero(needed >> k0 & 1)) for k0 in range(self.K)]
-        active = sum(1 << k0 for k0 in range(self.K) if r[k0])
-        # the pool's atoms by remaining want, cut to the active members:
-        # who has still to pin each one, lowest id first.  A member outside
-        # it never wanted the atom, and so holds it, or pinned it here.
-        heads: dict[int, list[int]] = {}
-        for a, w in zip(atoms.tolist(), needed.tolist()):
-            heads.setdefault(w, []).append(a)
-        # each slot somebody heard: its receivers, who moved up, and the
-        # combination (atoms, coefficients), stored when the pool ends
-        sent: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        split = support = None
+        """Send combinations of the pool's atoms, a step at a time, until
+        every member has banked or moved up with one equation for each
+        atom it wants.  Within a step no part receives an atom, so part
+        w's head before a slot is its atom at the number of the step's
+        earlier slots whose `done` meets w."""
+        # each atom's remaining want, cut to the active members: who has
+        # still to pin it.  A member outside it never wanted the atom, and
+        # so holds it, or pinned it here.
+        rem = self.want[atoms]
+        wanted = rem.copy()
+        active = int(np.bitwise_or.reduce(rem))
+        # the equations each member has to bank
+        r = [int(np.count_nonzero(rem >> k0 & 1)) for k0 in range(self.K)]
+        # one entry a step: each slot's receivers, who received or moved
+        # up, and combination (atoms, then coefficients or None for an
+        # XOR), stored when the pool ends
+        sent: list[tuple] = []
         regroup = True
         while active:
-            used = 0
-            for S in self.chan.rows(SLOT_CHUNK)[1].tolist():
-                used += 1
-                self.slot += 1
-                if regroup:
-                    # one set per part of an exact split of the active
-                    # members, so each receiver meets one unknown; it only
-                    # moves with the groups or the active set
-                    split = _exact_split(heads, active)
-                    regroup, support = False, None
-                if split:
-                    if support is None:
-                        # XOR of the lowest atom of each part
-                        support = np.array([heads[w][0] for w in split])
-                        coefs = _ONES[:len(split)]
-                else:
+            if regroup:
+                # the groups of equal remaining want, ascending as the
+                # atoms are, are slices of one stable sort
+                order = rem.argsort(kind="stable")
+                counts = np.bincount(rem)
+                keys = counts.nonzero()[0]
+                start, size, n = {}, {}, 0
+                for w, c in zip(keys.tolist(), counts[keys].tolist()):
+                    start[w], size[w], n = n, c, n + c
+                size.pop(0, None)
+                # one group per part of an exact split of the active
+                # members, so each receiver meets one unknown; it only
+                # moves with the groups or the active set
+                split = _exact_split(size, active) or []
+                P = len(split)
+                members = users_of(active)
+                # a step counts down, one row each, the atoms each part
+                # holds and the equations each member has to bank: it ends
+                # where a row reaches its quota.  The part of one member
+                # shares that member's row.
+                quota = {w: size[w] for w in split}
+                for k in members:
+                    quota[1 << k - 1] = min(quota.get(1 << k - 1, r[k - 1]),
+                                            r[k - 1])
+                rows = list(quota)
+                member_row = [rows.index(1 << k - 1) for k in members]
+                cols, quota = np.array(rows + list(quota.values()),
+                                       dtype=np.int64).reshape(2, -1, 1)
+                left = quota.copy()
+                # the atoms part by part, each ascending, and each part's
+                # head there
+                ranked = atoms[order]
+                head = np.array([start[w] for w in split],
+                                dtype=np.int64).reshape(-1, 1)
+                # only the head of a part of several members can move on
+                # to a group, which may not exist yet: then the step ends
+                multi = [w for w in split if w & (w - 1)]
+                if multi:
+                    parts = np.array(multi, dtype=np.int64)[:, None]
+                    fresh = counts == 0
+                    fresh[0] = False
+                if not P:
                     # else every atom an active member wants, with fresh
-                    # coefficients each slot
-                    if support is None:
-                        support = atoms[np.nonzero(needed & active)[0]]
-                    coefs = self._coefs(len(support))
-                got = S & active
-                moved = (active & ~S) if (S & ~pool_mask) else 0
-                if S:
-                    # a slot nobody heard needs no payload, and moves nothing
-                    sent.append((S, moved, support, coefs))
-                if got:
-                    self._trace(pool_mask, S, "deliver")
-                elif moved:
-                    self._trace(pool_mask, S, "promote")
-                else:
-                    self._trace(pool_mask, S, "waste")
-                    continue
-                # each user that received or moved up has one equation fewer
-                # and, after a head slot, has pinned its atom
-                done = got | moved
-                finished = 0
-                for k0 in range(done.bit_length()):
-                    if done >> k0 & 1:
-                        r[k0] -= 1
-                        if not r[k0]:
-                            finished |= 1 << k0
-                if split:
-                    for w in split:
-                        if w & done:
-                            regroup |= _move_head(heads, w, w & ~done)
-                    support = None
-                if finished:
-                    active &= ~finished
-                    for w in list(heads):
-                        if w & finished:
-                            _move_group(heads, w, w & active)
-                    regroup = True
-                    if not active:
-                        break
+                    # coefficients each slot looked at
+                    dense = atoms[wanted & active != 0]
+            states = self.chan.rows(SLOT_CHUNK)[1]
+            # each user that received or moved up has one equation fewer
+            # and, after a head slot, has pinned its atom
+            done = np.where(states & ~pool_mask, active, states & active)
+            hit = cols & done != 0
+            count = hit.cumsum(axis=1)
+            event = _any(count >= left)
+            if multi:
+                event |= _any(fresh[parts & ~done])
+            used = int(event.argmax()) + 1
+            regroup = bool(event[used - 1])
+            if not regroup:
+                used = len(states)
+            if P:
+                # the XOR of the head of each part; the taken heads leave
+                # for the groups of those still to pin them (none if nobody)
+                took = hit[:P, :used]
+                at = head + count[:P, :used] - took
+                sent.append((states[:used], done[:used], ranked[at.T], None))
+                rem[order[at[took]]] = ((cols[:P] & ~done[:used])[took]
+                                        if multi else 0)
+                head += count[:P, used - 1:used]
+            else:
+                coefs = np.array([self._coefs(len(dense))
+                                  for _ in range(used)])
+                sent.append((states[:used], done[:used],
+                             np.broadcast_to(dense, coefs.shape), coefs))
+            left -= count[:, used - 1:used]
+            if regroup:
+                banked = (quota - left)[:, 0].tolist()
+                for k, i in zip(members, member_row):
+                    r[k - 1] -= banked[i]
+                    if not r[k - 1]:
+                        # a finished member leaves every remaining want
+                        active &= ~(1 << k - 1)
+                        rem &= active
             self.chan.pos += used
+            if self.trace is None:
+                self.slot += used
+                continue
+            for S, d in zip(states[:used].tolist(), done[:used].tolist()):
+                self.slot += 1
+                self._trace(pool_mask, S, "deliver" if S & d else
+                            "promote" if d else "waste")
         self._store(pool_mask, sent)
 
     def _store(self, pool_mask: int, sent: list) -> None:
         """Enter a pool's combinations into the atom table, in the order
         sent, their payloads by `gf_dot`, one segment each, whole
-        combinations and about FOLD_CHUNK products a call.  They combine
-        only atoms seated in the pool before it started, none of them its
-        own."""
-        S, moved, ids, coefs = zip(*sent)
-        new = self._reserve(len(sent))
-        S, moved = np.array(S), np.array(moved)
+        combinations and about FOLD_CHUNK products a call.  `sent` holds
+        one entry a step, as `_run_multicast` keeps it; a slot nobody
+        heard needs no payload and moves nothing, so it enters nothing.
+        The combinations combine only atoms seated in the pool before it
+        started, none of them its own."""
+        S, done, ids, coefs = zip(*sent)
+        S, done = np.concatenate(S), np.concatenate(done)
+        heard = S != 0
+        width = np.repeat([c.shape[1] for c in ids], [len(c) for c in ids])
+        keep = np.repeat(heard, width)
+        terms = np.concatenate([c.ravel() for c in ids])[keep]
+        tcoef = 1 if all(k is None for k in coefs) else np.concatenate(
+            [np.ones(c.size, np.uint8) if k is None else k.ravel()
+             for c, k in zip(ids, coefs)])[keep]
+        S, done, width = S[heard], done[heard], width[heard]
+        new = self._reserve(len(S))
         self.heard[new] = S
         self.src[new] = pool_mask
+        moved = done & ~S
         up = moved != 0
         self.seed_item(pool_mask | S[up], new[up], moved[up])
-        self.first[new + 1] = self.first[new[0]] + np.cumsum(
-            [len(c) for c in coefs])
+        self.first[new + 1] = self.first[new[0]] + width.cumsum()
         heads, end = self.first[new], self.first[new[-1] + 1]
         self.terms, self.tcoef = _room((self.terms, self.tcoef), end)
-        self.terms[heads[0]:end] = np.concatenate(ids)
-        self.tcoef[heads[0]:end] = np.concatenate(coefs)
-        step = max(1, FOLD_CHUNK // self.L)
-        cuts = np.flatnonzero(np.diff((heads - heads[0]) // step))
-        for part in np.split(np.arange(len(sent)), cuts + 1):
-            lo, hi = heads[part[0]], self.first[new[part[-1]] + 1]
-            self.vals[new[part]] = gf_dot(self.tcoef[lo:hi],
-                                          self.vals[self.terms[lo:hi]],
-                                          heads[part] - lo)
+        self.terms[heads[0]:end] = terms
+        self.tcoef[heads[0]:end] = tcoef
+        chunk = (heads - heads[0]) // max(1, FOLD_CHUNK // self.L)
+        cuts = [0, *((chunk[1:] != chunk[:-1]).nonzero()[0] + 1).tolist(),
+                len(new)]
+        for a, b in zip(cuts, cuts[1:]):
+            lo, hi = heads[a], self.first[new[b - 1] + 1]
+            self.vals[new[a:b]] = gf_dot(self.tcoef[lo:hi],
+                                         self.vals[self.terms[lo:hi]],
+                                         heads[a:b] - lo)
 
     # -- decoding ----------------------------------------------------------
 
@@ -652,29 +706,6 @@ def _exact_split(sets, active: int) -> list[int] | None:
         return None
 
     return cover(active)
-
-
-def _move_head(heads: dict[int, list[int]], w: int, new: int) -> bool:
-    """Move the lowest atom of group `w` to group `new` (none if 0), and
-    tell whether a group was emptied or begun."""
-    atom = heapq.heappop(heads[w])
-    emptied = not heads[w]
-    if emptied:
-        del heads[w]
-    if not new:
-        return emptied
-    begun = new not in heads
-    heapq.heappush(heads.setdefault(new, []), atom)
-    return emptied or begun
-
-
-def _move_group(heads: dict[int, list[int]], w: int, new: int) -> None:
-    """Merge group `w` into group `new` (drop it if 0)."""
-    group = heads.pop(w)
-    if new:
-        group += heads.get(new, [])
-        heapq.heapify(group)
-        heads[new] = group
 
 
 def run_delivery(cfg: SystemConfig, pm: PlacementMap, demand: Demand | None = None,

@@ -19,8 +19,8 @@ from ebcache.analysis import (decomposition_residual,
                               ttot_centralized, ttot_closed_form,
                               ttot_no_feedback, two_user_region, worst_user)
 from ebcache.fastsim import initial_needs
-from ebcache.model import Demand, RateVector, SystemConfig
-from ebcache.placement import PlacementMap
+from ebcache.model import ConfigError, Demand, RateVector, SystemConfig
+from ebcache.placement import PlacementMap, decentralized_placement
 
 
 def cfg_of(delta, p, N=None, sizes=None):
@@ -118,6 +118,25 @@ def test_lattice_maximum_rejects_non_finite_inputs(w, x):
     # a NaN fails every comparison, so no order could be read back
     with pytest.raises(ValueError, match="finite"):
         analysis._lattice_max(w, x)
+
+
+def test_phase_plan_takes_a_placement_of_the_first_files():
+    # a Monte Carlo trial draws only the files its demand reads, and those
+    # masks are the full draw's, so the plan is the full draw's too
+    cfg = SystemConfig(K=3, N=10, delta=(0.2, 0.35, 0.5), mem=(2.0, 3.5, 5.0),
+                       file_sizes=tuple(range(40, 50)))
+    full = phase_plan(cfg, placement=decentralized_placement(cfg, 1))
+    short = decentralized_placement(cfg, 1, files=3)
+    got = phase_plan(cfg, placement=short)
+    assert got.sizes == full.sizes and got.total == full.total
+    assert np.array_equal(got.t_user, full.t_user)
+    assert np.array_equal(got.t_sub, full.t_sub)
+    # one that stops before a demanded file, or of other sizes, is refused
+    with pytest.raises(ConfigError, match="3 files"):
+        phase_plan(cfg, Demand((1, 2, 4)), placement=short)
+    other = replace(cfg, file_sizes=(40,) * 10)
+    with pytest.raises(ConfigError, match="file sizes"):
+        phase_plan(cfg, placement=decentralized_placement(other, 1, files=3))
 
 
 def test_phase_plan_with_exact_placement_equals_expected_plan():
