@@ -218,11 +218,12 @@ def _cmd_simulate(args) -> int:
                 w.writerows(trace)
     else:
         # a later start phase is the same delivery with the pools of fewer
-        # members emptied
+        # members emptied; as a batch of one, it keeps no promotions
         needs = initial_needs(cfg, pm, demand)
         needs[[bin(m).count("1") < args.start_phase
                for m in range(len(needs))]] = 0
-        res = simulate_lengths(cfg.K, cfg.delta, needs, dseed)
+        res = simulate_lengths(cfg.K, cfg.delta, needs[None],
+                               [dseed]).result(0)
     doc = res.to_json()
     doc["seed"] = args.seed
     doc["mode"] = "full" if full else "length"

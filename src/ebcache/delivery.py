@@ -75,7 +75,7 @@ import numpy as np
 from .gf256 import FOLD_CHUNK, INV, MUL, gf_dot, gf_fold, rref
 from .model import (MAX_K, SUPPORTED_FIELD_ORDERS, Demand, SystemConfig,
                     demand_for, mask_of, subsets_ascending, users_of)
-from .placement import PlacementMap, validate_placement
+from .placement import PlacementMap, random_masks, validate_placement
 
 CLEANUP_BUDGET_PER_USER = 64
 SLOT_CHUNK = 256        # channel states per look of the slot loop
@@ -99,10 +99,12 @@ class CleanupBudgetExceeded(DeliveryError):
 
 class ChannelStream:
     """The channel states of one delivery, the scheme's only random input:
-    row t of `random((n, K)) < 1 - delta`, drawn in blocks from the second
-    child of `SeedSequence(seed)`, tells who heard slot t.  numpy fills
-    doubles in order, so the rows are one sequence whatever the blocks,
-    and rows a caller saw but did not consume (advance `pos`) come again."""
+    slot t's receiver set is row t of `random((n, K)) < 1 - delta` as a
+    bitmask, bit k for user k + 1, drawn in blocks from the second child
+    of `SeedSequence(seed)` (`placement.random_masks`).  numpy fills
+    doubles in order, so the sets are one sequence whatever the blocks,
+    and sets a caller saw but did not consume (advance `pos`) come
+    again.  They are int64, so a Python int's complement can mask them."""
 
     def __init__(self, K: int, delta, seed: int):
         self.delta = delta = np.asarray(delta, dtype=float)
@@ -110,17 +112,17 @@ class ChannelStream:
             raise DeliveryError("delta must hold K erasure probabilities "
                                 "in [0, 1)")
         self.rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-        self.recv, self.states, self.pos = np.empty((0, K), bool), _NO_I64, 0
+        self.states, self.pos = _NO_I64, 0
 
-    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next n slots, unconsumed: receivers (n, K) and bitmasks."""
+    def rows(self, n: int) -> np.ndarray:
+        """The receiver sets of the next n slots, unconsumed."""
         if self.pos + n > len(self.states):
-            K = len(self.delta)
-            self.recv = np.concatenate([self.recv[self.pos:], self.rng.random(
-                (max(n, 128), K)) < 1.0 - self.delta])
-            self.states, self.pos = self.recv @ (1 << np.arange(K)), 0
-        return (self.recv[self.pos:self.pos + n],
-                self.states[self.pos:self.pos + n])
+            left = len(self.states) - self.pos
+            states = np.empty(left + max(n, 128), dtype=np.int64)
+            states[:left] = self.states[self.pos:]
+            random_masks(self.rng, 1.0 - self.delta, states[left:])
+            self.states, self.pos = states, 0
+        return self.states[self.pos:self.pos + n]
 
     def state(self) -> int:
         """The receiver set of the next slot, consumed."""
@@ -128,11 +130,10 @@ class ChannelStream:
 
     def consume(self, n: int) -> np.ndarray:
         """The receiver sets of the next n slots, consumed; once every
-        drawn row is consumed, the stream holds none of them."""
-        s = self.rows(n)[1]
+        drawn set is consumed, the stream holds none of them."""
+        s = self.rows(n)
         self.pos += n
         if self.pos == len(self.states):
-            self.recv = self.recv[:0].copy()
             self.states, self.pos = _NO_I64, 0
         return s
 
@@ -355,7 +356,7 @@ class _Engine:
         """Broadcast each raw packet until at least one user receives it."""
         k0 = pool_mask.bit_length() - 1
         while atoms.size:
-            states = self.chan.rows(SLOT_CHUNK)[1]
+            states = self.chan.rows(SLOT_CHUNK)
             # the i-th slot somebody heard carries the i-th packet left
             hit = np.flatnonzero(states)[:len(atoms)]
             used = int(hit[-1]) + 1 if len(hit) == len(atoms) else len(states)
@@ -438,7 +439,7 @@ class _Engine:
                     # else every atom an active member wants, with fresh
                     # coefficients each slot looked at
                     dense = atoms[wanted & active != 0]
-            states = self.chan.rows(SLOT_CHUNK)[1]
+            states = self.chan.rows(SLOT_CHUNK)
             # each user that received or moved up has one equation fewer
             # and, after a head slot, has pinned its atom
             done = np.where(states & ~pool_mask, active, states & active)

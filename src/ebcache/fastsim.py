@@ -15,39 +15,49 @@ members count, so entries outside a pool, and row 0, are ignored.
 independent trials that share K and the erasure probabilities, each from
 its own needs table on its own `ChannelStream`.  Sub-phases run in
 `subsets_ascending` order, skipping the pools no trial has anything
-pending in, which are found once per cardinality.  A pool takes steps
-over every trial with work there, each step a chunk of channel states
-per trial, every member of the pool served by its trial's chunk: one
-cumulative sum over the (trial, member, slot) progress array gives each
-member's finishing slot, and the overheard-outside array, cut at those
-slots, gives every promotion.  Promotions are scattered into the
-pending tables at once; a single delivery also keeps them for
+pending in, which are found once per cardinality.  Promotions only reach
+larger pools, so the pools of one cardinality share nothing but each
+trial's place in its stream, and one step may span several of them.  A
+step takes a chunk of channel states for every trial with work in its
+pools.  Consecutive pools that are each expected to take a few slots
+share a step, each in a window of the chunk as wide as the widest
+estimate, a trial's window of a pool starting where it finished the pool
+before; any other pool takes a step alone, its window the whole chunk.
+In a window, one cumulative sum over the (trial, member, slot) progress
+array gives each member's finishing slot, and the overheard-outside
+array, cut at those slots, gives every promotion.  A step ends after its
+last pool, or at the first one that some trial does not finish inside
+its window; the trials that did not finish it go on with that pool
+alone, a chunk a step.  Each trial consumes its states up to where it
+stopped and leaves the rest in its stream.  Promotions are scattered
+into the pending tables once a step; a single delivery also keeps them for
 `SimResult.realized_transfers`, folded to distinct keys and counts
-whenever `_Promotions.FOLD` of them have come in.  Each trial consumes
-its chunk up to its last finishing slot and leaves the rest in its
-stream, or consumes it all and takes another step.  Chunk sizes, and so
+whenever `_Promotions.FOLD` of them have come in.  Chunk sizes, and so
 batch sizes, set only speed: a trial's result is the one it gets alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import ceil, comb
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .delivery import ChannelStream, SimResult, promotion_keys
 from .model import (Demand, SystemConfig, demand_for, subsets_ascending,
                     users_of)
 from .placement import PlacementMap, validate_placement
 
-# the smallest chunk is a step's floor: 32 rather than 128 slots took the
-# benchmark's K = 10 sweep from 108 to 80 ms and one K = 16 delivery of
-# 500,000-packet files from 3.4 to 3.1 s (2-vCPU x86-64 host)
+# the smallest chunk is a lone pool's floor: 32 rather than 128 slots took
+# the benchmark's K = 10 sweep from 108 to 80 ms and one K = 16 delivery of
+# 500,000-packet files from 3.4 to 3.1 s (2-vCPU x86-64 host).  Pools
+# expected to take at most twice that share steps instead
 _MIN_CHUNK, _CHUNK = 32, 8192
 _SLOTS = np.arange(_CHUNK)[:, None]
-# (trial, slot, member) cells a step looks at, at most: as many as one
-# trial's full chunk at K = 4, which keeps a step's temporaries under 1 MB
+# (trial, pool, member, slot) cells a step looks at, at most: as many as
+# one trial's full chunk at K = 4, which keeps a step's temporaries under
+# 1 MB
 _STEP_CELLS = 1 << 15
 # The 8-byte cells of needs tables (2^K x K each) and channel buffers
 # (_CHUNK / 2 each) a batch should hold.  At the cap its needs and
@@ -55,6 +65,7 @@ _STEP_CELLS = 1 << 15
 # benchmark's order-capacity run before batching; the benchmark's sweep
 # (10 trials at K = 10, 18 fit) holds 1.6 MB.
 BATCH_CELLS = 1 << 18
+_NONE = np.empty(0, dtype=np.int64)
 
 
 def batch_trials(K: int) -> int:
@@ -116,6 +127,16 @@ class BatchLengths:
         return {(t, users_of(J)): n for t, J, n in zip(
             trial.tolist(), pools.tolist(), self.lengths[trial, at].tolist())}
 
+    def result(self, t: int, keys: np.ndarray = _NONE,
+               counts: np.ndarray = _NONE) -> SimResult:
+        """Trial t's slots as a `SimResult`, with the promotions `keys`
+        and `counts` (`_Promotions.folded`), none if not given."""
+        at = np.flatnonzero(self.lengths[t])
+        slots = self.lengths[t, at].tolist()
+        pools = np.asarray(subsets_ascending(self.K))[at].tolist()
+        return SimResult(sum(slots), dict(zip(map(users_of, pools), slots)),
+                         None, 0, keys, counts)
+
 
 def simulate_lengths(K: int, delta, needs: np.ndarray, seed
                      ) -> SimResult | BatchLengths:
@@ -137,13 +158,8 @@ def simulate_lengths(K: int, delta, needs: np.ndarray, seed
     moved = _Promotions(K) if one else None
     lengths = _deliver(K, np.asarray(delta, dtype=float),
                        needs[None] if one else needs, chans, moved)
-    if not one:
-        return BatchLengths(K, lengths)
-    at = np.flatnonzero(lengths[0])
-    slots = lengths[0, at].tolist()
-    pools = np.asarray(subsets_ascending(K))[at].tolist()
-    return SimResult(sum(slots), dict(zip(map(users_of, pools), slots)),
-                     None, 0, *moved.folded())
+    batch = BatchLengths(K, lengths)
+    return batch.result(0, *moved.folded()) if one else batch
 
 
 class _Channels:
@@ -176,7 +192,7 @@ class _Channels:
         if len(tr) == 1:                # a slice is cheaper than a gather
             t = int(tr[0])
             return self.states[t:t + 1, self.pos[t]:self.pos[t] + n]
-        return self.states[tr[:, None], self.pos[tr][:, None] + _SLOTS[:n].T]
+        return sliding_window_view(self.states, n, axis=1)[tr, self.pos[tr]]
 
     def _refill(self, trials, width: int) -> None:
         """Move the unconsumed states of `trials` to the front of their
@@ -214,57 +230,127 @@ def _deliver(K: int, delta: np.ndarray, needs: np.ndarray, chans: _Channels,
     lengths = np.zeros((len(pending), len(order)), dtype=np.int64)
     first = 0
     # promotions only reach larger pools, so a cardinality's rows are
-    # final when it starts
+    # final when it starts, and its pools share only the stream position
     for size in range(1, K + 1):
         pools = order[first:first + comb(K, size)]
-        q = q_min[pools].tolist()
         members = np.nonzero(inpool[pools])[1].reshape(len(pools), size)
         bits = (1 << members).astype(np.uint16)[:, :, None]
         # a member progresses when it or anyone outside the pool hears
         others = ((1 << K) - 1) ^ pools
         reach = bits | others.astype(np.uint16)[:, None, None]
         needs_now = pending[:, pools[:, None], members]
+        q = q_min[pools].tolist()
         tops = needs_now.max(axis=(0, 2), initial=0).tolist()
-        at, trials = np.nonzero(needs_now.any(axis=2).T)
+        busy = needs_now.any(axis=2)
+        at, trials = np.nonzero(busy.T)
         cut = np.flatnonzero(np.diff(at, prepend=-1, append=-1)).tolist()
-        for i, lo, hi in zip(at[cut[:-1]].tolist(), cut, cut[1:]):
-            tr, pool, mem = trials[lo:hi], int(pools[i]), members[i]
-            top, length = tops[i], lengths[:, first + i]
-            need = needs_now[tr, i]
-            active = need > 0
-            while True:
-                chunk = int(min(_CHUNK, max(1, _STEP_CELLS // need.size),
-                                max(_MIN_CHUNK, 2 * top / q[i])))
-                states = chans.take(tr, chunk)
-                # (trial, member, slot): progressed, and heard
-                prog = (states[:, None] & reach[i]) != 0
-                heard = (states[:, None] & bits[i]) != 0
-                cum = np.cumsum(prog, axis=2, dtype=np.int32)
-                # one past a member's finishing slot, chunk + 1 if it does
-                # not finish here, 0 if it has nothing to do
-                fin = (cum < need[:, :, None]).sum(axis=2) + active
-                used = np.minimum(fin.max(axis=1), chunk)
-                chans.pos[tr] += used
-                length[tr] += used
-                # progress without reception is a promotion; count those
-                # up to each member's finishing slot
-                promoted = (prog ^ heard) & (_SLOTS[:chunk].T
-                                             < fin[:, :, None])
-                if promoted.any():
-                    cell = ((states | pool) + (tr << K)[:, None]) * K
-                    cells = (cell[:, None] + mem[:, None])[promoted]
-                    np.add.at(flat, cells, 1)
-                    if moved is not None:
-                        moved.add(pool, cells)
-                if int(fin.max()) <= chunk:
-                    break
-                active = fin > chunk
-                keep = active.any(axis=1)
-                tr, active = tr[keep], active[keep]
-                need = np.where(active, need[keep] - cum[keep, :, -1], 0)
-                top = int(need.max())
+        work = at[cut[:-1]]
+        est = [2 * tops[j] / q[j] for j in work.tolist()]
+        # the slots that fit in a step's cells
+        fit = min(_CHUNK,
+                  _STEP_CELLS // max(1, int(busy.any(axis=1).sum()) * size))
+        k, tr = 0, None
+        while k < len(work):
+            if tr is None:
+                # the next G pools, each in a window as wide as the widest
+                # estimate, as many as fit, if none would take more than
+                # twice the smallest chunk; a lone pool takes a chunk
+                span, G = est[k], 1
+                while k + G < len(work):
+                    wider = max(span, est[k + G])
+                    if (wider > 2 * _MIN_CHUNK
+                            or (G + 1) * (ceil(wider) + 1) > fit):
+                        break
+                    span, G = wider, G + 1
+                i = work[k:k + G]
+                tr = (trials[cut[k]:cut[k + 1]] if G == 1
+                      else np.flatnonzero(busy[:, i].any(axis=1)))
+                need = needs_now[tr[:, None], i]
+            else:
+                span = 2 * int(need.max()) / q[i[0]]
+            if len(i) > 1:
+                window = ceil(span)
+                chunk = len(i) * (window + 1)
+            else:
+                chunk = window = int(min(
+                    _CHUNK, max(1, _STEP_CELLS // need.size),
+                    max(_MIN_CHUNK, span)))
+            done, tr, need = _step(K, pools[i], members[i], reach[i],
+                                   bits[i], tr, need, chans.take(tr, chunk),
+                                   window, chans.pos, lengths, first + i,
+                                   flat, moved)
+            k += done
+            i = i[done:done + 1]
         first += len(pools)
     return lengths
+
+
+def _step(K, pools, members, reach, bits, tr, need, states, window, pos,
+          lengths, cols, flat, moved):
+    """One step of trials `tr` over consecutive pools of one cardinality:
+    each trial reads its pools' windows of `window` slots one after the
+    other from its chunk of channel states `states`, the window of a pool
+    starting where the trial finished the pool before.  The step ends
+    after the last pool, or at the first one that some trial does not
+    finish inside its window.  It advances `pos` and `lengths` and
+    scatters the promotions into the pending table `flat`; it returns how
+    many pools every trial finished, and the trials that did not finish
+    the next one with the needs they have left there, or None."""
+    n, G, size = need.shape
+    goal = need.astype(np.int32)
+    # (trial, pool, slot): the window; (trial, pool, member, 1 + slot):
+    # progressed, after a column of none; fins: one past a member's
+    # finishing slot, window + 1 if it does not finish in its window, 0 if
+    # it has nothing to do; ends: the slots a trial used
+    progs = np.empty((n, G, size, 1 + window), dtype=bool)
+    progs[..., 0] = False
+    fins = np.empty((n, G, size), dtype=np.int64)
+    ends = np.empty((n, G), dtype=np.int64)
+    if G == 1:
+        wins = states[:, None]
+    else:
+        wins = np.empty((n, G, window), dtype=states.dtype)
+        wins[:, 0] = states[:, :window]
+        # a trial that does not finish a pool reads the next ones from
+        # window + 1 slots on; the chunk has room for that
+        slide = sliding_window_view(states, window, axis=1)
+        at, start = np.arange(n), 0
+    for g in range(G):
+        if g:
+            start = start + ends[:, g - 1]
+            wins[:, g] = slide[at, start]
+        # a member progresses where the state meets its reach
+        np.bitwise_and(wins[:, g, None], reach[g], out=progs[:, g, :, 1:],
+                       casting="unsafe")
+        cum = np.add.accumulate(progs[:, g], axis=2, dtype=np.int32)
+        np.add.reduce(cum < goal[:, g, :, None], axis=2, out=fins[:, g])
+        np.maximum.reduce(fins[:, g], axis=1, out=ends[:, g])
+    late = ends > window
+    ran = int(late.any(axis=0).argmax()) + 1 if late.any() else G
+    used = np.minimum(ends[:, :ran], window)
+    pos[tr] += used.sum(axis=1)
+    lengths[tr[:, None], cols[:ran]] += used
+    # progress without reception is a promotion; count those up to each
+    # member's finishing slot
+    heard = (wins[:, :ran, None] & bits[:ran]) != 0
+    promoted = ((progs[:, :ran, :, 1:] ^ heard)
+                & (_SLOTS[:window, 0] < fins[:, :ran, :, None]))
+    if promoted.any():
+        cell = ((wins[:, :ran] | pools[:ran, None])
+                + (tr << K)[:, None, None]) * K
+        cells = (cell[:, :, None] + members[:ran, :, None])[promoted]
+        np.add.at(flat, cells, 1)
+        if moved is not None:
+            moved.add(np.broadcast_to(pools[:ran, None, None],
+                                      promoted.shape)[promoted], cells)
+    if ran == G and not late[:, -1].any():
+        return G, None, None
+    # the trials that did not finish pool ran - 1 go on over another chunk
+    g = ran - 1
+    left = fins[:, g] > window
+    keep = left.any(axis=1)
+    got = cum[:, :, -1] if g == G - 1 else progs[:, g].sum(axis=2)
+    return g, tr[keep], np.where(left, need[:, g] - got, 0)[keep, None]
 
 
 class _Promotions:
@@ -280,10 +366,10 @@ class _Promotions:
         self.raw, self.n_raw = [], 0
         self.keys, self.counts = [], []
 
-    def add(self, pool: int, cells: np.ndarray) -> None:
-        """One promotion from `pool` into each of the pending-table
-        `cells`, repeats counted."""
-        self.raw.append(cells + pool * self.cells)
+    def add(self, pools: np.ndarray, cells: np.ndarray) -> None:
+        """One promotion from `pools[i]` into the pending-table cell
+        `cells[i]` for each i, repeats counted."""
+        self.raw.append(cells + pools * self.cells)
         self.n_raw += len(cells)
         if self.n_raw >= self.FOLD:
             self._fold()
@@ -309,9 +395,6 @@ class _Promotions:
         if len(first):
             keys, counts = keys[first], np.add.reduceat(counts, first)
         return keys, counts
-
-
-_NONE = np.empty(0, dtype=np.int64)
 
 
 def run_delivery_lengths(cfg: SystemConfig, pm: PlacementMap,

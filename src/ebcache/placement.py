@@ -14,9 +14,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig, mask_of, users_of
+from .model import MAX_K, ConfigError, SystemConfig, mask_of, users_of
 
-PLACEMENT_BLOCK = 1 << 16   # packets per draw of a decentralized placement
+# doubles per draw of `random_masks`, in buffers reused block to block:
+# 3 files of 10^5 packets at K = 3 took 3.3 ms, against 5.5 ms in fresh
+# blocks of 65,536 rows packed by an integer dot; at K = 10, blocks of
+# 8192 rows drew slower than of 3276 (2-vCPU x86-64 host)
+PLACEMENT_BLOCK = 1 << 15
+_POWERS = 2.0 ** np.arange(MAX_K)
 
 
 @dataclass
@@ -69,26 +74,41 @@ def validate_placement(cfg: SystemConfig, pm: PlacementMap,
                           f"{', '.join(bad)}")
 
 
+def random_masks(rng: np.random.Generator, p: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Fill `out` with row i of `rng.random((len(out), K)) < p` as a
+    bitmask, bit k for column k, and return it.  The doubles are drawn in
+    blocks of about PLACEMENT_BLOCK into buffers every block reuses; numpy
+    fills doubles in order, so the masks do not depend on the block."""
+    K = len(p)
+    rows = min(max(1, PLACEMENT_BLOCK // K), len(out))
+    # p row after row, or a view of its one value if all are equal
+    thr = (np.broadcast_to(p[:1], rows * K) if (p == p[0]).all()
+           else np.tile(p, rows))
+    u, below = np.empty(rows * K), np.empty(rows * K, dtype=bool)
+    packed = np.empty(rows)
+    for lo in range(0, len(out), rows or 1):
+        n = min(rows, len(out) - lo)
+        rng.random(out=u[:n * K])
+        np.less(u[:n * K], thr[:n * K], out=below[:n * K])
+        # a float dot packs the bits exactly, and faster than an integer one
+        np.matmul(below[:n * K].reshape(n, K), _POWERS[:K], out=packed[:n])
+        out[lo:lo + n] = packed[:n]
+    return out
+
+
 def decentralized_placement(cfg: SystemConfig, seed: int,
                             files: int | None = None) -> PlacementMap:
     """Each user caches each packet independently with probability
     M_k / N; deterministic given the seed.  Files are drawn in order, so
     files 1..n have the same masks whatever follows them: with `files`
-    = n only those are drawn, and the map holds only them.  A file's
-    (F, K) doubles are drawn PLACEMENT_BLOCK packets at a time, which
-    bounds the temporaries; numpy fills doubles in order, so the masks do
-    not depend on it."""
+    = n only those are drawn, and the map holds only them.  A file of F
+    packets takes the rows of `random((F, K)) < p` (`random_masks`)."""
     rng = np.random.default_rng(seed)
-    p = np.asarray(cfg.p)
-    powers = (1 << np.arange(cfg.K)).astype(np.uint32)
-    masks = []
-    for F in cfg.file_sizes[:files]:
-        mask = np.empty(F, dtype=np.uint32)
-        for lo in range(0, F, PLACEMENT_BLOCK):
-            bits = rng.random((min(PLACEMENT_BLOCK, F - lo), cfg.K)) < p
-            mask[lo:lo + len(bits)] = bits.astype(np.uint32) @ powers
-        masks.append(mask)
-    return PlacementMap("decentralized", cfg.K, masks)
+    p = np.asarray(cfg.p, dtype=float)
+    return PlacementMap("decentralized", cfg.K, [
+        random_masks(rng, p, np.empty(F, dtype=np.uint32))
+        for F in cfg.file_sizes[:files]])
 
 
 def centralized_placement(cfg: SystemConfig) -> PlacementMap:

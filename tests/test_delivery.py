@@ -64,19 +64,42 @@ class ScriptedStream:
         self.script, self.pos = np.asarray(states, dtype=np.int64), 0
 
     def __call__(self, K, delta, seed):
-        self.K = K
         return self
 
     def rows(self, n):
         states = self.script[self.pos:self.pos + n]
         if not len(states):
             raise StopIteration("a slot outlasts the script")
-        return (states[:, None] >> np.arange(self.K) & 1).astype(bool), states
+        return states
 
     def state(self):
-        s = self.rows(1)[1][0]
+        s = self.rows(1)[0]
         self.pos += 1
         return int(s)
+
+
+@pytest.mark.parametrize("K", range(1, MAX_K + 1))
+def test_channel_stream_is_its_definition(K):
+    # slot t's receiver set is row t of random((n, K)) < 1 - delta, drawn
+    # in one call from the second child of SeedSequence(seed), packed with
+    # bit k for user k + 1; reads and consumes of every size, across the
+    # stream's refills (at least 128 rows each), give the same rows
+    rng = np.random.default_rng(K)
+    powers = 1 << np.arange(K)
+    for delta in (np.zeros(K), np.full(K, 0.999), rng.uniform(0, 1, K)):
+        seed = int(rng.integers(2**32))
+        reads = [1, 127, 128, 129, 300, 0, 1000, 2, 5000, 128, 7]
+        want = (np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+                .random((sum(reads), K)) < 1.0 - delta) @ powers
+        stream, pos = delivery.ChannelStream(K, delta, seed), 0
+        for i, n in enumerate(reads):
+            seen = stream.rows(n)
+            assert seen.dtype == np.int64
+            assert np.array_equal(seen, want[pos:pos + n])
+            if i % 3 != 2:      # every third read is not consumed
+                assert np.array_equal(stream.consume(n), want[pos:pos + n])
+                pos += n
+        assert stream.state() == want[pos]
 
 
 def test_scripted_two_user_overhear_and_combine(monkeypatch):
@@ -898,6 +921,68 @@ def test_batched_trials_are_their_own_runs(K, T, small, data):
         assert res.realized_transfers == transfers
 
 
+@pytest.mark.parametrize("small", [False, True])
+def test_multi_pool_steps_are_their_own_runs(small):
+    # at K = 7-10, files of 0-3 packets leave pools of a few slots each,
+    # and a step takes several pools of one cardinality.  Every trial of a
+    # batch still gets what it gets alone, and so its slot-by-slot replay,
+    # with the default chunks and with chunks, steps and folds made small.
+    # The steps seen include trials with nothing pending in some of their
+    # pools, trials that finish several pools inside one chunk, and a pool
+    # that spills into the next step
+    rng = np.random.default_rng(27)
+    seen = dict.fromkeys(["idle", "several", "spill"], 0)
+    step = fastsim._step
+
+    def spy(K, pools, members, reach, bits, tr, need, *rest):
+        done, left, _ = out = step(K, pools, members, reach, bits, tr,
+                                   need, *rest)
+        if len(pools) > 1:
+            seen["idle"] += bool((need == 0).all(axis=2).any())
+            seen["several"] += done > 1
+            seen["spill"] += left is not None
+        return out
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(fastsim, "_step", spy))
+        if small:
+            stack.enter_context(mock.patch.multiple(
+                fastsim, _MIN_CHUNK=2, _CHUNK=16,
+                _SLOTS=np.arange(16)[:, None], _STEP_CELLS=64))
+            stack.enter_context(mock.patch.object(fastsim._Promotions,
+                                                  "FOLD", 3))
+        for _ in range(6):
+            K, T = int(rng.integers(7, 11)), int(rng.integers(1, 11))
+            delta = rng.choice([0.0, 0.3, 0.6, 0.9], K)
+            needs = []
+            for _ in range(T):
+                if rng.random() < 0.2:
+                    needs.append(order_start_needs(
+                        K, int(rng.integers(1, K + 1)),
+                        int(rng.integers(0, 4))))
+                    continue
+                cfg = SystemConfig(
+                    K=K, N=K, delta=tuple(delta),
+                    mem=tuple(rng.uniform(0, K, K)),
+                    file_sizes=tuple(rng.integers(0, 4, K).tolist()))
+                needs.append(initial_needs(cfg, decentralized_placement(
+                    cfg, int(rng.integers(2**32)))))
+            seeds = rng.integers(2**32, size=T).tolist()
+            batch = simulate_lengths(K, delta, np.stack(needs), seeds)
+            for t, (n, seed) in enumerate(zip(needs, seeds)):
+                alone = simulate_lengths(K, delta, n, seed)
+                total, per_subphase, transfers = replay_lengths(K, delta,
+                                                                n, seed)
+                assert batch.slots[t] == alone.slots_total == total
+                assert list(alone.slots_per_subphase.items()) == list(
+                    per_subphase.items())
+                assert {J: m for (u, J), m in
+                        batch.slots_per_subphase.items() if u == t} == (
+                    per_subphase)
+                assert alone.realized_transfers == transfers
+    assert all(seen.values()), seen
+
+
 def test_simulate_lengths_refuses_tables_that_do_not_fit():
     needs = np.stack([order_start_needs(3, 2, 5)] * 2)
     with pytest.raises(ValueError, match=r"needs must have shape \(3, 8, 3\)"):
@@ -988,7 +1073,7 @@ def loop_run_multicast(self, pool_mask, atoms):
     regroup = True
     while active:
         used = 0
-        for S in self.chan.rows(delivery.SLOT_CHUNK)[1].tolist():
+        for S in self.chan.rows(delivery.SLOT_CHUNK).tolist():
             used += 1
             self.slot += 1
             if regroup:

@@ -108,6 +108,32 @@ def test_placement_blocks_change_no_mask(monkeypatch):
     assert all(map(np.array_equal, pm.cache_masks, one_shot))
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 7, 10, 16])
+def test_decentralized_placement_is_its_definition(K):
+    # a file of F packets takes the rows of random((F, K)) < p, files
+    # drawn in order from one generator: files of one packet, across a
+    # block of doubles and empty, cache probabilities 0 and 1 included,
+    # and with `files`, only the first files
+    block = placement.PLACEMENT_BLOCK // K
+    sizes = (block, block + 1, 0, 1, 3 * block - 1, 17) + (2,) * (K - 6)
+    N = len(sizes)
+    mem = np.random.default_rng(K).uniform(0, N, K)
+    mem[0], mem[-1] = 0, N
+    cfg = SystemConfig(K=K, N=N, delta=(.5,) * K, mem=tuple(mem),
+                       file_sizes=sizes)
+    rng = np.random.default_rng(11)
+    want = [(rng.random((F, K)) < np.asarray(cfg.p)) @ (1 << np.arange(K))
+            for F in sizes]
+    # user K caches everything, and user 1, if another, nothing
+    assert all((w >> (K - 1) & 1).all() for w in want)
+    assert K == 1 or all((w & 1 == 0).all() for w in want)
+    for files in (None, 2, 4):
+        pm = decentralized_placement(cfg, 11, files=files)
+        assert [m.dtype for m in pm.cache_masks] == [np.uint32] * (
+            files or N)
+        assert all(map(np.array_equal, pm.cache_masks, want[:files]))
+
+
 def test_unknown_fraction_of_an_empty_file_is_zero():
     cfg = SystemConfig(K=2, N=2, delta=(.5, .5), mem=(1, 1), file_sizes=(0, 3))
     pm = decentralized_placement(cfg, 0)
